@@ -22,9 +22,15 @@ Results append to ``BENCH_elastic.json`` at the repo root - the
 benchmark-trajectory file the roadmap calls for - so the mitigation
 curve is a tracked regression, not a one-off claim.
 
+``--check`` gates the run's virtual time: the straggler baseline and
+every straggler-sweep row must equal the matching seed of the latest
+non-smoke ``BENCH_elastic.json`` entry exactly.  Chaos-recovery rows
+are not compared - their realized fault trace depends on the thread
+schedule (see :mod:`repro.ft.injection`).
+
 Runs under pytest (``pytest benchmarks/bench_straggler_mitigation.py``)
 or standalone (``python benchmarks/bench_straggler_mitigation.py
-[--smoke]``).
+[--smoke] [--check] [--no-write]``).
 """
 
 import argparse
@@ -32,17 +38,15 @@ import json
 import sys
 from pathlib import Path
 
-from repro.ft.elastic import (
-    ELASTIC_TAGS,
-    ElasticPolicy,
+from repro.ft import ChaosPlan, ElasticPolicy, run_elastic
+from repro.ft.chaos import (
+    CHAOS_TAGS,
     elastic_wordcount,
     global_counts,
-    make_elastic_cluster,
-    run_elastic,
+    make_wordcount_cluster,
     straggler_plan,
     sweep_wordcount,
 )
-from repro.ft.injection import ChaosPlan
 
 NPROCS = 4
 NSEEDS = 10
@@ -66,7 +70,7 @@ BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_elastic.json"
 def run_straggler_sweep(nseeds: int = NSEEDS, *, nprocs: int = NPROCS,
                         factor_range=FACTOR_RANGE, verbose: bool = False):
     """Spec vs. no-spec over ``nseeds`` seeded straggler schedules."""
-    baseline = run_elastic(make_elastic_cluster(nprocs), sweep_wordcount,
+    baseline = run_elastic(make_wordcount_cluster(nprocs), sweep_wordcount,
                            job_id="straggler-baseline")
     expected = global_counts(baseline.result.returns)
 
@@ -74,9 +78,9 @@ def run_straggler_sweep(nseeds: int = NSEEDS, *, nprocs: int = NPROCS,
     for seed in range(nseeds):
         plan = straggler_plan(seed, nprocs, factor_range=factor_range)
         (rank, factor), = plan.stragglers.items()
-        spec = run_elastic(make_elastic_cluster(nprocs), sweep_wordcount,
+        spec = run_elastic(make_wordcount_cluster(nprocs), sweep_wordcount,
                            faults=plan, policy=SPEC_POLICY, job_id="spec")
-        nospec = run_elastic(make_elastic_cluster(nprocs), sweep_wordcount,
+        nospec = run_elastic(make_wordcount_cluster(nprocs), sweep_wordcount,
                              faults=straggler_plan(
                                  seed, nprocs, factor_range=factor_range),
                              policy=NOSPEC_POLICY, job_id="nospec")
@@ -132,15 +136,15 @@ def check_sweep(rows, *, bound: float = BOUND) -> None:
 def run_chaos_recovery(nseeds: int = CHAOS_SEEDS, *, nprocs: int = NPROCS,
                        verbose: bool = False):
     """Mixed-fault recovery time under the elastic membership driver."""
-    baseline = run_elastic(make_elastic_cluster(nprocs), elastic_wordcount,
+    baseline = run_elastic(make_wordcount_cluster(nprocs), elastic_wordcount,
                            job_id="chaos-baseline")
     expected = global_counts(baseline.result.returns)
 
     rows = []
     for seed in range(nseeds):
-        plan = ChaosPlan.random(seed, nprocs, tags=ELASTIC_TAGS,
+        plan = ChaosPlan.random(seed, nprocs, tags=CHAOS_TAGS,
                                 membership=True)
-        res = run_elastic(make_elastic_cluster(nprocs), elastic_wordcount,
+        res = run_elastic(make_wordcount_cluster(nprocs), elastic_wordcount,
                           faults=plan, job_id="chaos-elastic",
                           max_restarts=12)
         row = {
@@ -173,6 +177,33 @@ def check_chaos(rows) -> None:
 
 
 # ------------------------------------------------------------- trajectory
+
+def check_against_committed(path: Path, entry: dict) -> list[str]:
+    """Compare the straggler sweep with the latest non-smoke entry.
+
+    Virtual time is deterministic for straggler-only schedules, so the
+    baseline and every seed's row must match exactly.  Returns a list
+    of human-readable mismatches (empty = gate passes).
+    """
+    history = json.loads(path.read_text())["history"]
+    committed = next(e for e in reversed(history) if not e["smoke"])
+    failures = []
+    if entry["baseline_elapsed"] != committed["baseline_elapsed"]:
+        failures.append(
+            f"baseline_elapsed {entry['baseline_elapsed']!r} != committed "
+            f"{committed['baseline_elapsed']!r}")
+    rows = {row["seed"]: row for row in committed["sweep"]}
+    for row in entry["sweep"]:
+        old = rows.get(row["seed"])
+        if old is None:
+            failures.append(f"seed {row['seed']}: no committed row")
+        elif row != old:
+            diff = sorted(k for k in row.keys() | old.keys()
+                          if row.get(k) != old.get(k))
+            failures.append(f"seed {row['seed']}: {', '.join(diff)} "
+                            "differ from the committed row")
+    return failures
+
 
 def append_trajectory(path: Path, entry: dict) -> None:
     """Append one run's results to the BENCH trajectory file."""
@@ -244,6 +275,9 @@ def main(argv=None) -> int:
                         help="small sweep for CI")
     parser.add_argument("--seeds", type=int, default=None,
                         help=f"straggler schedules (default {NSEEDS})")
+    parser.add_argument("--check", action="store_true",
+                        help="fail unless the straggler sweep equals the "
+                             "latest committed non-smoke entry exactly")
     parser.add_argument("--no-write", action="store_true",
                         help="skip updating BENCH_elastic.json")
     args = parser.parse_args(argv)
@@ -260,6 +294,13 @@ def main(argv=None) -> int:
           f"(bound {BOUND}x)")
     print(f"worst nospec ratio : {summary['worst_nospec_ratio']:.3f}x")
     print("all outputs bit-identical to fault-free baseline")
+    if args.check:
+        failures = check_against_committed(BENCH_PATH, entry)
+        if failures:
+            for line in failures:
+                print(f"MISMATCH: {line}", file=sys.stderr)
+            return 1
+        print("virtual-time gate: ok")
     if not args.no_write:
         append_trajectory(BENCH_PATH, entry)
         print(f"trajectory appended to {BENCH_PATH.name}")

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.apps.wordcount import wc_combine, wc_map
 from repro.cluster import Cluster
-from repro.core import Mimir, MimirConfig, pack_u64, unpack_u64
+from repro.core import Mimir, MimirConfig, pack_u64
 from repro.datasets import uniform_text
 from repro.io.spill import SpillWriter
 from repro.mpi.platforms import Platform
@@ -104,11 +105,8 @@ def _measure_wordcount(platform: Platform, nbytes: int) -> float:
 
     def job(env):
         mimir = Mimir(env, config)
-        kvs = mimir.map_text_file(
-            "calib.txt", lambda ctx, chunk: [
-                ctx.emit(w, pack_u64(1)) for w in chunk.split()])
-        out = mimir.partial_reduce(
-            kvs, lambda k, a, b: pack_u64(unpack_u64(a) + unpack_u64(b)))
+        kvs = mimir.map_text_file("calib.txt", wc_map)
+        out = mimir.partial_reduce(kvs, wc_combine)
         out.free()
 
     result = cluster.run(job)

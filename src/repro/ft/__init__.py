@@ -13,22 +13,21 @@ partial writes):
   length-framed, nonce-stamped records with collective completion
   markers - a torn, corrupt, or stale checkpoint is detected and
   recomputed, never silently replayed;
-- :class:`FaultPlan` / :class:`SimulatedRankFailure` inject
-  deterministic rank failures at named points;
-- :class:`ChaosPlan` generalizes injection to transient PFS errors,
-  torn writes, bit corruption, and straggler ranks, all seeded and
-  deterministic;
-- :func:`run_with_recovery` restarts a failed job with per-class
-  restart budgets and a structured failure log, letting it skip phases
-  whose checkpoints completed - so work lost to a failure is bounded
-  by one phase instead of the whole job;
+- :class:`ChaosPlan` is the one fault plan: explicit rank deaths
+  (:meth:`ChaosPlan.fail_at`, raising :class:`SimulatedRankFailure`)
+  plus seeded transient PFS errors, torn writes, bit corruption,
+  stragglers and membership events;
+- :func:`run_with_recovery` is the one restart loop: per-class restart
+  budgets, a structured failure log, and phases whose checkpoints
+  completed are skipped - so work lost to a failure is bounded by one
+  phase.  Its :class:`ElasticPolicy` decides whether a failure
+  restarts the gang or shrinks it (:func:`run_elastic`);
+- :mod:`repro.ft.elastic` holds the *reactive* mechanisms: straggler
+  detection, speculative re-execution (:func:`speculative_map`),
+  checkpoint re-balancing (:func:`restore_rebalanced`) and
+  :class:`ScalingPolicy`;
 - :func:`run_chaos_sweep` (``repro.ft.chaos``) sweeps seeded random
-  fault schedules over WordCount and checks bit-identical convergence;
-- :mod:`repro.ft.elastic` adds the *reactive* layer: straggler
-  detection, speculative task re-execution, elastic gang membership
-  with checkpoint re-balancing, and a scaling policy
-  (:func:`run_elastic`, :class:`ElasticPolicy`,
-  :class:`ScalingPolicy`).
+  fault schedules over WordCount and checks bit-identical convergence.
 """
 
 from repro.ft.checkpoint import (
@@ -38,35 +37,39 @@ from repro.ft.checkpoint import (
     CheckpointNotFoundError,
     CheckpointStaleError,
 )
-from repro.ft.faults import FaultPlan, SimulatedRankFailure, TornWriteFailure
+from repro.ft.elastic import (
+    ElasticStageHooks,
+    ScalingPolicy,
+    SpeculationReport,
+    StragglerMonitor,
+    restore_rebalanced,
+    speculative_map,
+)
+from repro.ft.faults import (
+    SimulatedRankFailure,
+    StragglerEvicted,
+    TornWriteFailure,
+)
 from repro.ft.injection import ChaosPlan, InjectedFault
 from repro.ft.runner import (
+    ElasticContext,
+    ElasticPolicy,
     FailureRecord,
     FTResult,
+    MembershipChange,
     classify_failure,
+    run_elastic,
     run_with_recovery,
 )
 
-_ELASTIC_NAMES = frozenset((
-    "ElasticContext", "ElasticPolicy", "ElasticResult",
-    "ElasticStageHooks", "MembershipChange", "ScalingPolicy",
-    "SpeculationReport", "StragglerEvicted", "StragglerMonitor",
-    "restore_rebalanced", "run_elastic", "speculative_map",
-))
-
 
 def __getattr__(name: str):
-    # Lazy: the harnesses pull in app/benchmark machinery, and eager
-    # import would also trip runpy's double-import warning for
-    # ``python -m repro.ft.chaos``.
+    # Lazy: the harness pulls in app code, and eager import would also
+    # trip runpy's double-import warning for ``python -m repro.ft.chaos``.
     if name in ("ChaosSweepResult", "ChaosRunRecord", "run_chaos_sweep"):
         from repro.ft import chaos
 
         return getattr(chaos, name)
-    if name in _ELASTIC_NAMES:
-        from repro.ft import elastic
-
-        return getattr(elastic, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -80,11 +83,9 @@ __all__ = [
     "CheckpointStaleError",
     "ElasticContext",
     "ElasticPolicy",
-    "ElasticResult",
     "ElasticStageHooks",
     "FailureRecord",
     "FTResult",
-    "FaultPlan",
     "InjectedFault",
     "MembershipChange",
     "ScalingPolicy",

@@ -8,6 +8,12 @@ to a fault-free baseline, with the failure log accounting for the
 injected faults.  Each schedule is fully determined by its seed, so a
 failing seed reproduces exactly.
 
+The module also holds the elastic harness used by tests and
+``benchmarks/bench_straggler_mitigation.py``: a checkpointed WordCount
+whose map runs through :func:`~repro.ft.elastic.speculative_map`
+(:func:`elastic_wordcount`), its checkpoint-free twin
+(:func:`sweep_wordcount`), and seeded straggler schedules.
+
 Run a quick sweep from the command line::
 
     PYTHONPATH=src python -m repro.ft.chaos --seeds 20
@@ -16,12 +22,16 @@ Run a quick sweep from the command line::
 from __future__ import annotations
 
 import pickle
+import random
 from dataclasses import dataclass, field
 
-from repro.cluster import Cluster
-from repro.core import Mimir, MimirConfig, pack_u64, unpack_u64
+from repro.apps.wordcount import wc_combine, wc_map
+from repro.cluster import Cluster, RankEnv
+from repro.core import Mimir, MimirConfig, unpack_u64
+from repro.ft.checkpoint import CheckpointManager
+from repro.ft.elastic import restore_rebalanced, speculative_map
 from repro.ft.injection import ChaosPlan
-from repro.ft.runner import FTResult, run_with_recovery
+from repro.ft.runner import ElasticContext, FTResult, run_with_recovery
 from repro.mpi import COMET
 
 #: Tags the harness job exposes; schedules may plant deaths at these.
@@ -33,15 +43,10 @@ CFG = MimirConfig(page_size=2048, comm_buffer_size=2048,
 TEXT = b"oak elm ash fir oak elm oak yew ash oak pine fir cedar yew " * 40
 INPUT_PATH = "input/chaos_words.txt"
 
-
-def _wc_map(ctx, chunk: bytes) -> None:
-    one = pack_u64(1)
-    for word in chunk.split():
-        ctx.emit(word, one)
-
-
-def _wc_combine(key: bytes, a: bytes, b: bytes) -> bytes:
-    return pack_u64(unpack_u64(a) + unpack_u64(b))
+#: The elastic harness input: large enough that map I/O dominates.
+ELASTIC_TEXT = (b"oak elm ash fir oak elm oak yew ash oak pine fir "
+                b"cedar yew larch teak ") * 7200
+ELASTIC_INPUT = "input/elastic_words.txt"
 
 
 def chaos_wordcount(env, ckpt, faults):
@@ -52,12 +57,62 @@ def chaos_wordcount(env, ckpt, faults):
     if ckpt.has("shuffle"):
         kvs = ckpt.load_kvc("shuffle", CFG.layout, CFG.page_size)
     else:
-        kvs = mimir.map_text_file(INPUT_PATH, _wc_map)
+        kvs = mimir.map_text_file(INPUT_PATH, wc_map)
         ckpt.save_kvc("shuffle", kvs)
     faults.check("after_shuffle", env.comm.rank)
 
-    out = mimir.partial_reduce(kvs, _wc_combine)
+    out = mimir.partial_reduce(kvs, wc_combine)
     faults.check("after_reduce", env.comm.rank)
+    return _sorted_counts(out)
+
+
+def elastic_wordcount(env: RankEnv, ckpt: CheckpointManager,
+                      ctx: ElasticContext):
+    """Checkpointed speculative WordCount; the elastic chaos target.
+
+    The map combines locally, so shuffle/checkpoint/reduce traffic is
+    tiny relative to map I/O - the regime where speculation's bound is
+    visible instead of drowned by fixed costs.  Returns this rank's
+    sorted ``(word, count)`` share; compare runs with
+    :func:`global_counts` - membership changes re-partition keys, so
+    only the merged multiset is invariant.
+    """
+    ctx.probe(env, "start")
+    kvs = restore_rebalanced(env, ckpt, "shuffle", layout=CFG.layout,
+                             page_size=CFG.page_size)
+    if kvs is None:
+        kvs = speculative_map(env, ELASTIC_INPUT, wc_map, config=CFG,
+                              policy=ctx.policy, stage_key="map",
+                              combine_fn=wc_combine, ctx=ctx)
+        ckpt.save_kvc("shuffle", kvs)
+        ctx.probe(env, "after_shuffle")
+        ctx.maybe_evict(env, "post-map")
+
+    out = Mimir(env, CFG).partial_reduce(kvs, wc_combine)
+    ctx.probe(env, "after_reduce")
+    return _sorted_counts(out)
+
+
+def sweep_wordcount(env: RankEnv, ckpt: CheckpointManager,
+                    ctx: ElasticContext):
+    """The straggler-sweep target: speculative map + reduce, no
+    checkpoint.
+
+    Pure-straggler schedules never restart, so a checkpoint would be
+    dead weight on COMET's penalized writes; dropping it keeps the job
+    map-dominated, the regime the speculation bound is stated for.
+    """
+    ctx.probe(env, "start")
+    kvs = speculative_map(env, ELASTIC_INPUT, wc_map, config=CFG,
+                          policy=ctx.policy, stage_key="map",
+                          combine_fn=wc_combine, ctx=ctx)
+    out = Mimir(env, CFG).partial_reduce(kvs, wc_combine)
+    ctx.probe(env, "after_reduce")
+    return _sorted_counts(out)
+
+
+def _sorted_counts(out) -> tuple:
+    """This rank's sorted ``(word, count)`` pairs; frees ``out``."""
     counts = tuple(sorted((k, unpack_u64(v)) for k, v in out.records()))
     out.free()
     return counts
@@ -65,7 +120,7 @@ def chaos_wordcount(env, ckpt, faults):
 
 def make_wordcount_cluster(nprocs: int = 4,
                            storage: str | None = None) -> Cluster:
-    """A fresh cluster with the harness input staged (one per run -
+    """A fresh cluster with both harness inputs staged (one per run -
     chaos mutates storage state, so runs must not share a substrate).
 
     ``storage`` picks the backend (see :mod:`repro.storage`); the sweep
@@ -74,7 +129,28 @@ def make_wordcount_cluster(nprocs: int = 4,
     cluster = Cluster(COMET, nprocs=nprocs, memory_limit=None,
                       storage=storage)
     cluster.pfs.store(INPUT_PATH, TEXT)
+    cluster.pfs.store(ELASTIC_INPUT, ELASTIC_TEXT)
     return cluster
+
+
+def global_counts(returns: list) -> tuple:
+    """Gang-size-independent fingerprint of the per-rank outputs."""
+    merged: dict[bytes, int] = {}
+    for part in returns:
+        for key, count in part or ():
+            merged[key] = merged.get(key, 0) + count
+    return tuple(sorted(merged.items()))
+
+
+def straggler_plan(seed: int, nprocs: int, *,
+                   factor_range: tuple[float, float] = (4.0, 8.0)
+                   ) -> ChaosPlan:
+    """A seeded one-straggler schedule (rank and factor drawn from
+    ``seed``)."""
+    rng = random.Random(seed)
+    rank = rng.randrange(nprocs)
+    factor = round(rng.uniform(*factor_range), 2)
+    return ChaosPlan(seed, stragglers={rank: factor})
 
 
 def _canonical(returns: list) -> bytes:

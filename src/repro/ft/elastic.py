@@ -1,11 +1,12 @@
 """Reactive fault handling: stragglers, speculation, elastic membership.
 
-Checkpoint/restart (:mod:`repro.ft.runner`) treats every fault as
-fatal: tear the gang down, resubmit, replay from the last checkpoint.
-This module adds the *reactive* layer the paper's target machines
-(Mira, Comet) actually need at scale, where the common failure is not
-a crash but a slow rank, and where re-running the whole gang to shed
-one bad host is unaffordable.  Four mechanisms, one control loop:
+Plain checkpoint/restart treats every fault as fatal.  This module
+holds the *reactive* layer the paper's target machines (Mira, Comet)
+actually need at scale, where the common failure is not a crash but a
+slow rank, and where re-running the whole gang to shed one bad host is
+unaffordable.  The restart loop that drives it is
+:func:`repro.ft.runner.run_with_recovery`.  Four mechanisms, one
+control loop:
 
 - **Straggler detection** (:class:`StragglerMonitor`): per-phase
   progress comparison.  Every rank's busy time for a phase is
@@ -17,12 +18,11 @@ one bad host is unaffordable.  Four mechanisms, one control loop:
   the detection point are re-launched on the healthiest ranks.  First
   result wins, the loser is killed, and lineage-derived task keys plus
   CRC agreement make duplicates safe to discard.
-- **Dynamic membership** (:func:`run_elastic` +
-  :meth:`~repro.cluster.Cluster.resize`): a rank death or scheduled
-  leave is *promoted* from a fatal restart to a gang shrink; joins
-  grow the gang.  KV partitions checkpointed by the old gang are
-  re-balanced onto the new one (:func:`restore_rebalanced`), and a
-  partition lost with its rank is recomputed from lineage.
+- **Dynamic membership** (:func:`~repro.ft.runner.run_elastic`):
+  a rank death or scheduled leave shrinks the gang instead of
+  restarting it; joins grow it.  KV partitions checkpointed by the old
+  gang are re-balanced onto the new one (:func:`restore_rebalanced`),
+  and a partition lost with its rank is recomputed from lineage.
 - **Scaling policy** (:class:`ScalingPolicy`): grows/shrinks the gang
   from scheduler queue depth and observed memory residency - the
   sensor half comes from :mod:`repro.obs`, the actuator half is
@@ -45,84 +45,19 @@ it lazily), keeping the dependency arrow one-way.
 
 from __future__ import annotations
 
-import itertools
 import zlib
+from statistics import median
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
-from repro.cluster import Cluster, RankEnv
+from repro.cluster import RankEnv
 from repro.core.kvcontainer import KVContainer
 from repro.core.records import KVLayout
 from repro.core.shuffle import default_partitioner
 from repro.ft.checkpoint import CheckpointManager
-from repro.ft.faults import FaultPlan, SimulatedRankFailure
-from repro.ft.runner import (
-    FailureRecord,
-    FTResult,
-    classify_failure,
-    default_restart_caps,
-)
+from repro.ft.runner import ElasticPolicy, FailureRecord
 from repro.io.errors import retrying
 from repro.io.splits import split_range, split_text
-from repro.mpi.errors import RankFailedError
-
-#: Failure kinds :func:`run_elastic` converts into gang shrinks
-#: instead of same-size restarts (when policy and budget allow).
-_SHRINKABLE = ("rank-death", "membership-leave", "straggler-evict")
-
-
-# --------------------------------------------------------------- policy
-
-
-@dataclass(frozen=True)
-class ElasticPolicy:
-    """Knobs of the reactive layer; immutable and validated.
-
-    ``straggler_threshold`` is the slowdown multiple over the median
-    at which a rank is flagged; ``backup_overhead`` models the cost of
-    re-reading a duplicated task's input split on the backup host.
-    ``splits_per_rank`` sets task-pool granularity - more tasks mean
-    earlier per-task detection and finer re-balancing, at more
-    scheduling overhead (the paper's usual tradeoff).
-    """
-
-    straggler_threshold: float = 2.0
-    min_detect_seconds: float = 0.0
-    speculate: bool = True
-    backup_overhead: float = 0.05
-    evict_stragglers: bool = True
-    allow_leave: bool = True
-    allow_join: bool = True
-    max_membership_changes: int = 4
-    min_ranks: int = 1
-    max_ranks: int = 64
-    splits_per_rank: int = 4
-
-    def __post_init__(self):
-        if self.straggler_threshold <= 1.0:
-            raise ValueError(
-                f"straggler_threshold must be > 1 (a threshold at or "
-                f"below the median flags healthy ranks), got "
-                f"{self.straggler_threshold}")
-        if self.min_detect_seconds < 0:
-            raise ValueError(
-                f"min_detect_seconds must be >= 0, "
-                f"got {self.min_detect_seconds}")
-        if self.backup_overhead < 0:
-            raise ValueError(
-                f"backup_overhead must be >= 0, got {self.backup_overhead}")
-        if self.max_membership_changes < 0:
-            raise ValueError(
-                f"max_membership_changes must be >= 0, "
-                f"got {self.max_membership_changes}")
-        if self.min_ranks < 1:
-            raise ValueError(f"min_ranks must be >= 1, got {self.min_ranks}")
-        if self.max_ranks < self.min_ranks:
-            raise ValueError(
-                f"max_ranks {self.max_ranks} < min_ranks {self.min_ranks}")
-        if self.splits_per_rank < 1:
-            raise ValueError(
-                f"splits_per_rank must be >= 1, got {self.splits_per_rank}")
 
 
 # -------------------------------------------------------------- sensing
@@ -147,14 +82,6 @@ class StragglerMonitor:
         self.threshold = threshold
         self.min_gap = min_gap
 
-    @staticmethod
-    def _median(values: Sequence[float]) -> float:
-        ordered = sorted(values)
-        mid = len(ordered) // 2
-        if len(ordered) % 2:
-            return ordered[mid]
-        return (ordered[mid - 1] + ordered[mid]) / 2.0
-
     def flag(self, durations: "dict[int, float] | Sequence[float]",
              ) -> list[int]:
         """Ranks whose duration exceeds ``threshold`` x median.
@@ -169,12 +96,11 @@ class StragglerMonitor:
             items = list(enumerate(durations))
         if not items:
             return []
-        median = self._median([d for _, d in items])
-        if median <= 0.0:
+        mid = median(d for _, d in items)
+        if mid <= 0.0:
             return []
         return [rank for rank, d in items
-                if d > self.threshold * median
-                and (d - median) >= self.min_gap]
+                if d > self.threshold * mid and (d - mid) >= self.min_gap]
 
     def flag_from_metrics(self, registry,
                           name: str = "core.phase.seconds") -> list[int]:
@@ -251,11 +177,10 @@ def speculative_map(env: RankEnv, path: str,
                     partitioner: Callable[[bytes, int], int] | None = None,
                     layout: KVLayout | None = None,
                     out_tag: str | None = None,
-                    ctx: Any = None,
-                    splits_per_rank: int | None = None) -> KVContainer:
+                    ctx: Any = None) -> KVContainer:
     """Task-pool map over a text file with speculative re-execution.
 
-    The file is cut into ``nranks * splits_per_rank`` word-aligned
+    The file is cut into ``nranks * policy.splits_per_rank`` word-aligned
     tasks; rank ``r`` primarily owns tasks ``r, r+size, ...``.  Every
     rank runs its primaries physically, then the gang allgathers
     per-task durations and output CRCs.  If a rank's busy time exceeds
@@ -281,9 +206,8 @@ def speculative_map(env: RankEnv, path: str,
     layout = layout or (config.layout if config is not None else KVLayout())
     page_size = config.page_size if config is not None else 64 * 1024
     out_of_core = bool(config is not None and config.out_of_core)
-    splits = splits_per_rank or policy.splits_per_rank
     size = comm.size
-    ntasks = size * splits
+    ntasks = size * policy.splits_per_rank
     threshold = policy.straggler_threshold
     metrics = env.metrics
 
@@ -299,7 +223,6 @@ def speculative_map(env: RankEnv, path: str,
 
     def on_retry(attempt: int, exc) -> None:
         if failure_log is not None:
-            from repro.ft.runner import FailureRecord
             failure_log.append(FailureRecord(
                 attempt=0, rank=comm.rank, kind="retry",
                 message=f"task read attempt {attempt}: {exc}"))
@@ -348,8 +271,6 @@ def speculative_map(env: RankEnv, path: str,
 
     monitor = StragglerMonitor(threshold, policy.min_detect_seconds)
     flagged = monitor.flag(busy)
-    if len(flagged) >= size:
-        flagged = []          # everyone "slow" means nobody is
     report = SpeculationReport(stage_key=stage_key, nranks=size,
                                ntasks=ntasks, busy=list(busy),
                                flagged=list(flagged),
@@ -368,7 +289,7 @@ def speculative_map(env: RankEnv, path: str,
         # threshold x median task durations a healthy observer knows a
         # task is late.  This is what keeps the bound at a fraction of
         # the phase instead of a multiple of it.
-        detect_at = max(threshold * monitor._median(list(task_dur.values())),
+        detect_at = max(threshold * median(task_dur.values()),
                         policy.min_detect_seconds)
         report.detect_at = detect_at
         healthy = sorted((r for r in range(size) if r not in flagged),
@@ -500,21 +421,6 @@ def speculative_map(env: RankEnv, path: str,
 # ----------------------------------------------------------- membership
 
 
-class StragglerEvicted(SimulatedRankFailure):
-    """A flagged rank voluntarily leaves so the gang can shrink.
-
-    Raised at a job's eviction point by :meth:`ElasticContext.
-    maybe_evict`; :func:`run_elastic` promotes it to a membership
-    change (the plain restart driver retries it like a death).
-    """
-
-    failure_class = "straggler-evict"
-
-    def __init__(self, tag: str, rank: int):
-        super().__init__(tag, rank)
-        self.args = (f"straggler rank {rank} evicted at {tag!r}",)
-
-
 def restore_rebalanced(env: RankEnv, ckpt: CheckpointManager, phase: str, *,
                        layout: KVLayout | None = None,
                        page_size: int = 64 * 1024,
@@ -560,211 +466,6 @@ def restore_rebalanced(env: RankEnv, ckpt: CheckpointManager, phase: str, *,
     return out
 
 
-@dataclass
-class MembershipChange:
-    """One gang-size transition in an elastic run's history."""
-
-    attempt: int
-    kind: str          # "leave" | "join" | "evict" | "death"
-    rank: int | None
-    nprocs: int        # gang size *after* the change
-    at: float          # virtual time the triggering event carried
-    cause: str = ""
-
-
-@dataclass
-class ElasticResult(FTResult):
-    """Outcome of an elastic run: an FTResult plus membership history."""
-
-    membership_log: list[MembershipChange] = field(default_factory=list)
-    speculation: list[SpeculationReport] = field(default_factory=list)
-    final_nprocs: int = 0
-
-    @property
-    def membership_changes(self) -> int:
-        return len(self.membership_log)
-
-
-class ElasticContext:
-    """Per-run handle a job uses to talk to the elastic driver.
-
-    Bundles the fault plan (probe points), the policy, and the
-    speculation reports; shared across attempts so history survives
-    restarts.  Jobs call :meth:`probe` where chaos-wrapped jobs call
-    ``faults.check``, and may call :meth:`maybe_evict` after a phase
-    whose report flagged a straggler.
-    """
-
-    def __init__(self, policy: ElasticPolicy, faults: Any):
-        self.policy = policy
-        self.faults = faults
-        self.reports: list[SpeculationReport] = []
-        self.last_report: SpeculationReport | None = None
-        #: Eviction budget, decremented by :func:`run_elastic` as
-        #: membership changes accumulate.
-        self.membership_left = policy.max_membership_changes
-        self.min_ranks = policy.min_ranks
-        #: Absorbed-event sink shared with the driver's failure log, so
-        #: transient map-read retries are classified like checkpoint
-        #: retries.
-        self.failure_log: list[FailureRecord] = []
-
-    def probe(self, env: RankEnv, tag: str) -> None:
-        """A job checkpoint/phase boundary: faults may fire here."""
-        self.faults.check(tag, env.comm.rank)
-        if hasattr(self.faults, "membership_check"):
-            self.faults.membership_check(env.comm, tag)
-
-    def record(self, report: SpeculationReport, env: RankEnv) -> None:
-        """Collect a phase's speculation report (rank 0 appends)."""
-        self.last_report = report
-        if env.comm.rank == 0:
-            self.reports.append(report)
-
-    def maybe_evict(self, env: RankEnv, tag: str) -> None:
-        """Turn a persistent straggler into a membership departure.
-
-        If the last phase flagged stragglers and policy + budget allow
-        shrinking, the lowest flagged rank raises
-        :class:`StragglerEvicted`; the driver shrinks the gang and the
-        retry runs without the slow host.  Speculation already bounded
-        the *current* phase; eviction keeps the slowness from taxing
-        every future phase.
-        """
-        report = self.last_report
-        if report is None or not report.flagged:
-            return
-        if not (self.policy.evict_stragglers and self.policy.allow_leave):
-            return
-        if self.membership_left <= 0:
-            return
-        if env.comm.size - 1 < self.min_ranks:
-            return
-        victim = min(report.flagged)
-        if env.comm.rank == victim:
-            raise StragglerEvicted(tag, victim)
-
-
-def run_elastic(cluster: Cluster, job: Callable[..., Any], *,
-                policy: ElasticPolicy | None = None,
-                faults: Any = None,
-                job_id: str = "job",
-                max_restarts: int = 8,
-                restart_caps: dict[str, int] | None = None,
-                nonce: str | None = None) -> ElasticResult:
-    """Run ``job(env, ckpt, ctx)`` under the elastic membership driver.
-
-    Like :func:`~repro.ft.runner.run_with_recovery`, with death
-    *promoted*: a rank death, scheduled leave, or straggler eviction
-    shrinks the gang (``Cluster.resize``) instead of burning restart
-    budget, as long as the policy allows leaves, the membership budget
-    is not spent, and the gang stays at or above ``policy.min_ranks``.
-    Scheduled joins from the fault plan's membership schedule grow the
-    gang at launch boundaries.  Checkpoints survive membership changes
-    because the nonce is fixed for the whole run (not per gang size) -
-    :func:`restore_rebalanced` does the re-sharding.
-    """
-    policy = policy or ElasticPolicy()
-    plan = faults if faults is not None else FaultPlan()
-    ctx = ElasticContext(policy, plan)
-    if nonce is None:
-        from repro.ft.runner import _RUN_SEQ
-        nonce = f"{job_id}/elastic/run{next(_RUN_SEQ)}"
-    caps = dict(default_restart_caps(max_restarts))
-    if restart_caps:
-        caps.update(restart_caps)
-
-    previous_chaos = cluster.chaos
-    if hasattr(plan, "on_write"):
-        cluster.chaos = plan
-
-    total_elapsed = 0.0
-    failures: list[str] = []
-    failure_log: list[FailureRecord] = ctx.failure_log
-    membership_log: list[MembershipChange] = []
-    restarts_by_class: dict[str, int] = {}
-    last_clock = 0.0
-
-    def changes_left() -> int:
-        return policy.max_membership_changes - len(membership_log)
-
-    def shrink(attempt: int, kind: str, rank: int | None, at: float,
-               cause: str) -> None:
-        cluster.resize(cluster.nprocs - 1)
-        if rank is not None and hasattr(plan, "remove_rank"):
-            plan.remove_rank(rank)
-        membership_log.append(MembershipChange(
-            attempt, kind, rank, cluster.nprocs, at, cause))
-        ctx.membership_left = changes_left()
-        cluster.metrics.shard(-1).inc("ft.membership.changes")
-
-    def rank_fn(env: RankEnv) -> Any:
-        ckpt = CheckpointManager(env, job_id, nonce=nonce, faults=plan,
-                                 failure_log=failure_log)
-        return job(env, ckpt, ctx)
-
-    try:
-        for attempt in itertools.count(1):
-            # Launch-boundary membership sweep: joins grow the gang;
-            # leaves whose rank never reached a probe shrink it here.
-            if hasattr(plan, "membership_due"):
-                for event in plan.membership_due(last_clock,
-                                                nranks=cluster.nprocs):
-                    if event.kind == "join":
-                        if (policy.allow_join and changes_left() > 0
-                                and cluster.nprocs < policy.max_ranks):
-                            cluster.resize(cluster.nprocs + 1)
-                            membership_log.append(MembershipChange(
-                                attempt, "join", None, cluster.nprocs,
-                                event.at, "scheduled join"))
-                            ctx.membership_left = changes_left()
-                            cluster.metrics.shard(-1).inc(
-                                "ft.membership.changes")
-                    elif (policy.allow_leave and changes_left() > 0
-                            and cluster.nprocs > policy.min_ranks):
-                        shrink(attempt, "leave", event.rank, event.at,
-                               "scheduled leave (launch boundary)")
-            try:
-                result = cluster.run(rank_fn)
-            except RankFailedError as failure:
-                kind = classify_failure(failure.original)
-                lost_clocks = getattr(failure, "clocks", None) or [0.0]
-                lost = max(lost_clocks)
-                last_clock = max(last_clock, lost)
-                total_elapsed += lost
-                failures.append(str(failure.original))
-                failure_log.append(FailureRecord(
-                    attempt, failure.rank, kind,
-                    str(failure.original), lost))
-                promotable = (kind in _SHRINKABLE and policy.allow_leave
-                              and changes_left() > 0
-                              and cluster.nprocs > policy.min_ranks)
-                if promotable:
-                    change_kind = {"rank-death": "death",
-                                   "membership-leave": "leave",
-                                   "straggler-evict": "evict"}[kind]
-                    at = getattr(failure.original, "at", last_clock)
-                    shrink(attempt, change_kind, failure.rank, at,
-                           str(failure.original))
-                    continue
-                restarts_by_class[kind] = restarts_by_class.get(kind, 0) + 1
-                if (restarts_by_class[kind] > caps.get(kind, 0)
-                        or attempt > max_restarts + len(membership_log)):
-                    raise
-                cluster.metrics.shard(-1).inc("ft.restarts")
-                continue
-            total_elapsed += result.elapsed
-            return ElasticResult(result, attempt, total_elapsed, failures,
-                                 failure_log,
-                                 membership_log=membership_log,
-                                 speculation=list(ctx.reports),
-                                 final_nprocs=cluster.nprocs)
-        raise AssertionError("unreachable")
-    finally:
-        cluster.chaos = previous_chaos
-        cluster.pfs.chaos = previous_chaos
-
-
 # ----------------------------------------------------- scheduler bridge
 
 
@@ -808,8 +509,6 @@ class ElasticStageHooks:
         """Progress-monitor a non-speculative stage (collective call)."""
         durations = env.comm.allgather(seconds)
         flagged = self.monitor.flag(durations)
-        if len(flagged) >= env.comm.size:
-            flagged = []
         if flagged:
             self.flags[stage.name] = flagged
             if env.comm.rank in flagged:
@@ -869,122 +568,3 @@ class ScalingPolicy:
         elif wanted < nprocs and residency <= self.shrink_residency:
             target = nprocs - self.step
         return max(self.min_ranks, min(self.max_ranks, target))
-
-
-# -------------------------------------------------------------- harness
-#
-# The elastic analog of :mod:`repro.ft.chaos`: a checkpointed
-# WordCount whose map runs through :func:`speculative_map`, used by
-# tests and ``benchmarks/bench_straggler_mitigation.py``.  The map
-# combines locally, so shuffle/checkpoint/reduce traffic is tiny
-# relative to map I/O - the regime where speculation's bound is
-# visible instead of drowned by fixed costs.
-
-ELASTIC_TAGS = ("start", "after_shuffle", "after_reduce",
-                "ckpt:shuffle:precommit")
-ELASTIC_CFG = None  # assigned below; MimirConfig import kept local
-ELASTIC_TEXT = (b"oak elm ash fir oak elm oak yew ash oak pine fir "
-                b"cedar yew larch teak ") * 7200
-ELASTIC_INPUT = "input/elastic_words.txt"
-
-
-def _elastic_cfg():
-    global ELASTIC_CFG
-    if ELASTIC_CFG is None:
-        from repro.core import MimirConfig
-        ELASTIC_CFG = MimirConfig(page_size=2048, comm_buffer_size=2048,
-                                  input_chunk_size=512)
-    return ELASTIC_CFG
-
-
-def _wc_map(ctx, chunk: bytes) -> None:
-    from repro.core import pack_u64
-    one = pack_u64(1)
-    for word in chunk.split():
-        ctx.emit(word, one)
-
-
-def _wc_combine(key: bytes, a: bytes, b: bytes) -> bytes:
-    from repro.core import pack_u64, unpack_u64
-    return pack_u64(unpack_u64(a) + unpack_u64(b))
-
-
-def make_elastic_cluster(nprocs: int = 4) -> Cluster:
-    """A fresh cluster with the harness input staged (one per run)."""
-    from repro.mpi import COMET
-    cluster = Cluster(COMET, nprocs=nprocs, memory_limit=None)
-    cluster.pfs.store(ELASTIC_INPUT, ELASTIC_TEXT)
-    return cluster
-
-
-def elastic_wordcount(env: RankEnv, ckpt: CheckpointManager,
-                      ctx: ElasticContext):
-    """Checkpointed speculative WordCount; the elastic chaos target.
-
-    Returns this rank's sorted ``(word, count)`` share; compare runs
-    with :func:`global_counts` - membership changes re-partition keys,
-    so only the merged multiset is invariant.
-    """
-    from repro.core import Mimir, unpack_u64
-    cfg = _elastic_cfg()
-    ctx.probe(env, "start")
-
-    kvs = restore_rebalanced(env, ckpt, "shuffle", layout=cfg.layout,
-                             page_size=cfg.page_size)
-    if kvs is None:
-        kvs = speculative_map(env, ELASTIC_INPUT, _wc_map, config=cfg,
-                              policy=ctx.policy, stage_key="map",
-                              combine_fn=_wc_combine, ctx=ctx)
-        ckpt.save_kvc("shuffle", kvs)
-        ctx.probe(env, "after_shuffle")
-        ctx.maybe_evict(env, "post-map")
-
-    out = Mimir(env, cfg).partial_reduce(kvs, _wc_combine)
-    ctx.probe(env, "after_reduce")
-    counts = tuple(sorted((k, unpack_u64(v)) for k, v in out.records()))
-    out.free()
-    return counts
-
-
-def sweep_wordcount(env: RankEnv, ckpt: CheckpointManager,
-                    ctx: ElasticContext):
-    """The straggler-sweep target: speculative map + reduce, no
-    checkpoint.
-
-    Pure-straggler schedules never restart, so a checkpoint would be
-    dead weight on COMET's penalized writes; dropping it keeps the job
-    map-dominated, the regime the speculation bound is stated for.
-    """
-    from repro.core import Mimir, unpack_u64
-    cfg = _elastic_cfg()
-    ctx.probe(env, "start")
-    kvs = speculative_map(env, ELASTIC_INPUT, _wc_map, config=cfg,
-                          policy=ctx.policy, stage_key="map",
-                          combine_fn=_wc_combine, ctx=ctx)
-    out = Mimir(env, cfg).partial_reduce(kvs, _wc_combine)
-    ctx.probe(env, "after_reduce")
-    counts = tuple(sorted((k, unpack_u64(v)) for k, v in out.records()))
-    out.free()
-    return counts
-
-
-def global_counts(returns: list) -> tuple:
-    """Gang-size-independent fingerprint of the per-rank outputs."""
-    merged: dict[bytes, int] = {}
-    for part in returns:
-        for key, count in part or ():
-            merged[key] = merged.get(key, 0) + count
-    return tuple(sorted(merged.items()))
-
-
-def straggler_plan(seed: int, nprocs: int, *,
-                   factor_range: tuple[float, float] = (4.0, 8.0)):
-    """A seeded one-straggler schedule (rank and factor drawn from
-    ``seed``)."""
-    import random
-
-    from repro.ft.injection import ChaosPlan
-    rng = random.Random(seed)
-    rank = rng.randrange(nprocs)
-    factor = round(rng.uniform(*factor_range), 2)
-    return ChaosPlan(seed, stragglers={rank: factor})

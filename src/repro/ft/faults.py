@@ -1,16 +1,10 @@
-"""Deterministic fault injection for simulated ranks.
+"""Exception types for injected rank failures.
 
-A :class:`FaultPlan` names ``(checkpoint_tag, rank)`` points at which a
-rank dies with :class:`SimulatedRankFailure`.  Each planned failure
-fires exactly once, even across job restarts - the plan itself carries
-the fired-state, mirroring a transient hardware fault that does not
-recur after recovery.
+:class:`~repro.ft.injection.ChaosPlan` raises these at planned points;
+:func:`~repro.ft.runner.classify_failure` maps each to a restart class.
 """
 
 from __future__ import annotations
-
-import threading
-from dataclasses import dataclass, field
 
 
 class SimulatedRankFailure(RuntimeError):
@@ -42,33 +36,12 @@ class TornWriteFailure(SimulatedRankFailure):
                      f"{path!r} kept {kept}/{total} bytes",)
 
 
-@dataclass
-class FaultPlan:
-    """Failures to inject: ``{(tag, rank), ...}``."""
+class StragglerEvicted(SimulatedRankFailure):
+    """A flagged rank leaves so an elastic gang can shrink (raised by
+    :meth:`~repro.ft.runner.ElasticContext.maybe_evict`)."""
 
-    failures: set[tuple[str, int]] = field(default_factory=set)
-    _fired: set[tuple[str, int]] = field(default_factory=set)
-    _lock: threading.Lock = field(default_factory=threading.Lock)
+    failure_class = "straggler-evict"
 
-    def fail_at(self, tag: str, rank: int) -> "FaultPlan":
-        """Schedule one failure; returns self for chaining."""
-        self.failures.add((tag, rank))
-        return self
-
-    def check(self, tag: str, rank: int) -> None:
-        """Raise :class:`SimulatedRankFailure` if this point is armed."""
-        point = (tag, rank)
-        with self._lock:
-            if point in self.failures and point not in self._fired:
-                self._fired.add(point)
-                raise SimulatedRankFailure(tag, rank)
-
-    @property
-    def fired(self) -> set[tuple[str, int]]:
-        with self._lock:
-            return set(self._fired)
-
-    @property
-    def pending(self) -> set[tuple[str, int]]:
-        with self._lock:
-            return self.failures - self._fired
+    def __init__(self, tag: str, rank: int):
+        super().__init__(tag, rank)
+        self.args = (f"straggler rank {rank} evicted at {tag!r}",)

@@ -1,8 +1,7 @@
 """Seeded, deterministic chaos injection across the whole stack.
 
-:class:`ChaosPlan` generalizes :class:`~repro.ft.faults.FaultPlan`
-beyond "a rank dies at a named tag" to the failure modes that dominate
-at Mira/Comet scale:
+:class:`ChaosPlan` is the one fault plan.  It covers the failure modes
+that dominate at Mira/Comet scale:
 
 - **transient PFS errors** - any ``read``/``write``/``write_at``/
   ``append`` may raise :class:`~repro.io.errors.TransientIOError`
@@ -12,10 +11,12 @@ at Mira/Comet scale:
 - **silent bit corruption** of files under a configurable prefix
   (checkpoints by default - exactly the data that integrity framing
   must catch);
-- **rank death at tags**, both explicitly scheduled (``fail_at``, the
-  :class:`FaultPlan` surface) and rate-based;
+- **rank death at tags**, both explicitly scheduled (:meth:`ChaosPlan.
+  fail_at`) and rate-based;
 - **stragglers** - a per-rank clock-slowdown multiplier applied to all
-  local (compute + I/O) virtual time via ``SimComm.advance``.
+  local (compute + I/O) virtual time via ``SimComm.advance``;
+- **membership events** - scheduled mid-run leaves and joins, which an
+  elastic policy turns into gang resizes.
 
 Determinism: every rate-based decision hashes ``(seed, kind, rank,
 per-rank op index)`` - a pure function, independent of thread
@@ -26,10 +27,12 @@ docs/architecture.md), so the set of decision points actually reached
 - and therefore the realized fault list - can vary slightly across
 executions of the same plan.  What never varies is the answer: the
 recovery guarantee under test is bit-identical output, not a
-bit-identical fault trace.  Each rate-based fault fires at most once
-per decision point (the plan carries fired-state across restarts, like
-:class:`FaultPlan`), and at most ``max_faults`` fire in total, so a
-chaotic run always converges given a restart budget.
+bit-identical fault trace.  Every fault - scheduled or rate-based -
+fires at most once per decision point (the plan carries fired-state
+across restarts, mirroring a transient hardware fault that does not
+recur after recovery), and at most ``max_faults`` rate-based faults
+fire in total, so a chaotic run always converges given a restart
+budget.
 
 Hooks are consumed by :class:`~repro.io.pfs.ParallelFileSystem`
 (``chaos`` attribute) and :class:`~repro.cluster.Cluster`
@@ -42,14 +45,11 @@ from __future__ import annotations
 import random
 import threading
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.ft.faults import FaultPlan, SimulatedRankFailure, TornWriteFailure
+from repro.ft.faults import SimulatedRankFailure, TornWriteFailure
 from repro.io.errors import TransientIOError
 
-#: Checkpoint-phase tags a chaos-wrapped job is expected to expose;
-#: :class:`ChaosPlan.random` schedules rate-based deaths against these
-#: plus whatever the job itself passes to ``check``.
 _HASH_SPACE = float(1 << 32)
 
 
@@ -68,10 +68,9 @@ class RankLeaveEvent(SimulatedRankFailure):
     """A scheduled membership departure (not a crash).
 
     Raised by :meth:`ChaosPlan.membership_check` when a rank's
-    scheduled leave time has passed.  An elastic driver
-    (:func:`repro.ft.elastic.run_elastic`) promotes it from a fatal
-    restart to a gang-shrink; the plain restart driver treats it like
-    a rank death.
+    scheduled leave time has passed.  An elastic policy
+    (:func:`repro.ft.runner.run_elastic`) promotes it from a fatal
+    restart to a gang-shrink.
     """
 
     #: Consumed by :func:`repro.ft.runner.classify_failure`.
@@ -117,10 +116,12 @@ class MembershipEvent:
 
 
 class ChaosPlan:
-    """A seeded schedule of injectable faults; also a ``FaultPlan``.
+    """A seeded schedule of injectable faults.
 
-    All rates are per-operation probabilities in ``[0, 1]``.  Torn
-    writes and corruption only target paths under
+    Explicit deaths (:meth:`fail_at`) need no seed or rates:
+    ``ChaosPlan().fail_at("after_shuffle", 2)`` is the plain
+    deterministic plan.  All rates are per-operation probabilities in
+    ``[0, 1]``.  Torn writes and corruption only target paths under
     ``corruptible_prefix`` (checkpoints by default): tearing or
     flipping bits in an *unprotected* file - the job's input, say -
     would silently change the answer, which is a test-harness bug, not
@@ -164,7 +165,10 @@ class ChaosPlan:
         self._membership_fired: set[MembershipEvent] = set()
         self.corruptible_prefix = corruptible_prefix
         self.max_faults = max_faults
-        self.deaths = FaultPlan()
+        #: Explicitly scheduled ``(tag, rank)`` deaths and the ones that
+        #: already fired.
+        self.failures: set[tuple[str, int]] = set()
+        self._deaths_fired: set[tuple[str, int]] = set()
         self._lock = threading.Lock()
         self._op_index: dict[int, int] = {}     # rank -> ops seen
         self._seen_tags: set[tuple[str, int]] = set()
@@ -207,24 +211,25 @@ class ChaosPlan:
         if shard is not None:
             shard.inc("ft.faults.injected")
 
-    # -------------------------------------------- FaultPlan-compatible
+    # ------------------------------------------------------ rank deaths
 
     def fail_at(self, tag: str, rank: int) -> "ChaosPlan":
-        """Schedule one explicit rank death (FaultPlan surface)."""
-        self.deaths.fail_at(tag, rank)
+        """Schedule one explicit rank death; returns self for chaining."""
+        self.failures.add((tag, rank))
         return self
 
     def check(self, tag: str, rank: int) -> None:
-        """Maybe kill ``rank`` at ``tag`` (explicit or rate-based)."""
-        try:
-            self.deaths.check(tag, rank)
-        except SimulatedRankFailure:
-            with self._lock:
-                self.injected.append(
-                    InjectedFault("rank-death", rank, tag, "scheduled"))
-            raise
+        """Maybe kill ``rank`` at ``tag`` (explicit or rate-based).
+
+        An explicit death fires exactly once, even across restarts.
+        """
         point = (tag, rank)
         with self._lock:
+            if point in self.failures and point not in self._deaths_fired:
+                self._deaths_fired.add(point)
+                self.injected.append(
+                    InjectedFault("rank-death", rank, tag, "scheduled"))
+                raise SimulatedRankFailure(tag, rank)
             if point in self._seen_tags:
                 return
             self._seen_tags.add(point)
@@ -234,12 +239,9 @@ class ChaosPlan:
 
     @property
     def pending(self) -> set[tuple[str, int]]:
-        return self.deaths.pending
-
-    @property
-    def fired_count(self) -> int:
+        """Explicit deaths that have not fired yet."""
         with self._lock:
-            return self._fired + len(self.deaths.fired)
+            return self.failures - self._deaths_fired
 
     def counts(self) -> dict[str, int]:
         """Injected-fault tally by kind (stragglers excluded)."""
@@ -333,25 +335,22 @@ class ChaosPlan:
                        nranks: int | None = None) -> list[MembershipEvent]:
         """Consume every not-yet-fired event due by virtual time ``now``.
 
-        The gang-boundary flavour of :meth:`membership_check`: an
-        elastic driver sweeps this between launches to apply joins (and
-        leaves whose rank never reached a probe, or that no longer
-        exists after earlier shrinks - those are reported with
-        ``rank=None`` semantics by the caller).
+        The launch-boundary flavour of :meth:`membership_check`: an
+        elastic policy sweeps this between launches to apply joins and
+        leaves whose rank never reached a probe.  A leave of a rank id
+        ``>= nranks`` no longer exists after earlier shrinks; it is
+        spent without being returned, so it cannot fire against a
+        future join.
         """
         due: list[MembershipEvent] = []
         with self._lock:
             for ev in self.membership:
                 if ev.at > now or ev in self._membership_fired:
                     continue
-                if ev.kind == "leave" and nranks is not None \
-                        and ev.rank is not None and ev.rank >= nranks:
-                    # The target rank id no longer exists; mark it
-                    # spent so it cannot fire against a future join.
-                    self._membership_fired.add(ev)
-                    continue
                 self._membership_fired.add(ev)
-                due.append(ev)
+                if not (ev.kind == "leave" and nranks is not None
+                        and ev.rank >= nranks):
+                    due.append(ev)
         return due
 
     def remove_rank(self, rank: int) -> None:
@@ -422,4 +421,4 @@ class ChaosPlan:
                 f"torn={self.torn_write_rate}, "
                 f"corrupt={self.corruption_rate}, "
                 f"death={self.tag_death_rate}, "
-                f"stragglers={self.stragglers}, fired={self.fired_count})")
+                f"stragglers={self.stragglers}, fired={self.counts()})")

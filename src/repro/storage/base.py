@@ -51,6 +51,7 @@ class FileStats:
     bytes_written: int = 0
     reads: int = 0
     writes: int = 0
+    #: Bytes written per top-level path prefix (``spill``, ``ckpt``...).
     by_prefix: dict[str, int] = field(default_factory=dict)
 
     def _charge(self, path: str, nbytes: int) -> None:
@@ -147,10 +148,10 @@ class StorageBackend(abc.ABC):
             if write:
                 self.stats.bytes_written += nbytes
                 self.stats.writes += 1
+                self.stats._charge(path, nbytes)
             else:
                 self.stats.bytes_read += nbytes
                 self.stats.reads += 1
-            self.stats._charge(path, nbytes)
 
     def _emit(self, comm, nbytes: int, write: bool) -> None:
         shard = self._shard(comm)

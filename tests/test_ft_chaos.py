@@ -10,7 +10,6 @@ from repro.ft import (
     ChaosPlan,
     CheckpointManager,
     CheckpointNotFoundError,
-    FaultPlan,
     TornWriteFailure,
     classify_failure,
     run_with_recovery,
@@ -279,7 +278,7 @@ class TestMidCommitCrash:
         """Satellite: a fault between the data write and the marker
         write must leave ``has()`` false on restart -> recompute."""
         cluster = make_cluster(nprocs)
-        plan = FaultPlan().fail_at("ckpt:shuffle:precommit", victim)
+        plan = ChaosPlan().fail_at("ckpt:shuffle:precommit", victim)
         seen = []
 
         def job(env, ckpt, faults):
@@ -447,7 +446,7 @@ class TestChaosPlan:
             cluster.pfs.store("t.txt", TEXT)
             return cluster.run(
                 lambda env: checkpointed_wordcount(
-                    env, CheckpointManager(env, "s"), FaultPlan()))
+                    env, CheckpointManager(env, "s"), ChaosPlan()))
 
         clean = run(None)
         slow = run(ChaosPlan(seed=0, stragglers={1: 4.0}))

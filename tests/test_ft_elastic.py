@@ -1,45 +1,35 @@
 """Reactive fault handling: stragglers, speculation, elastic membership."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.apps.wordcount import wc_combine, wc_map
 from repro.cluster import Cluster
-from repro.core import MimirConfig, pack_u64, unpack_u64
+from repro.core import unpack_u64
 from repro.ft import (
     CheckpointManager,
     ElasticPolicy,
     ElasticStageHooks,
     ScalingPolicy,
     StragglerMonitor,
+    restore_rebalanced,
     run_elastic,
+    speculative_map,
 )
-from repro.ft.elastic import (
-    ELASTIC_TAGS,
+from repro.ft.chaos import (
+    CFG,
+    CHAOS_TAGS,
     ELASTIC_TEXT,
     elastic_wordcount,
     global_counts,
-    make_elastic_cluster,
-    restore_rebalanced,
-    speculative_map,
+    make_wordcount_cluster,
     straggler_plan,
     sweep_wordcount,
-    _elastic_cfg,
 )
 from repro.ft.injection import ChaosPlan, MembershipEvent
 from repro.mpi import COMET
 from repro.sched import Plan, PlanRunner, SchedJob, Scheduler
-
-CFG = MimirConfig(page_size=2048, comm_buffer_size=2048,
-                  input_chunk_size=512)
-
-
-def wc_map(ctx, chunk):
-    one = pack_u64(1)
-    for word in chunk.split():
-        ctx.emit(word, one)
-
-
-def wc_combine(key, a, b):
-    return pack_u64(unpack_u64(a) + unpack_u64(b))
 
 
 # ------------------------------------------------------------ validation
@@ -120,6 +110,15 @@ class TestStragglerMonitor:
         for rank, secs in ((0, 1.0), (1, 1.1), (2, 6.0)):
             reg.shard(rank).observe("core.phase.seconds", secs)
         assert StragglerMonitor(2.0).flag_from_metrics(reg) == [2]
+
+    @given(st.lists(st.floats(min_value=0.0, max_value=1e6), max_size=64),
+           st.floats(min_value=1.0, max_value=100.0, exclude_min=True))
+    def test_never_flags_more_than_half(self, durations, threshold):
+        # At least half the ranks sit at or below the median, and only
+        # ranks strictly above threshold x median (> median) are
+        # flagged - so "everyone is slow" cannot happen.
+        flagged = StragglerMonitor(threshold).flag(durations)
+        assert len(flagged) <= len(durations) // 2
 
 
 class TestScalingDecisions:
@@ -219,11 +218,10 @@ class TestClusterResize:
 
 
 def spec_wc(env, policy=None):
-    cfg = _elastic_cfg()
     kvc = speculative_map(env, "input/elastic_words.txt", wc_map,
-                          config=cfg, policy=policy, combine_fn=wc_combine)
+                          config=CFG, policy=policy, combine_fn=wc_combine)
     from repro.core.job import Mimir
-    out = Mimir(env, cfg).partial_reduce(kvc, wc_combine)
+    out = Mimir(env, CFG).partial_reduce(kvc, wc_combine)
     return sorted((k, unpack_u64(v)) for k, v in out.consume())
 
 
@@ -234,15 +232,15 @@ class TestSpeculativeMap:
         return tuple(sorted(Counter(ELASTIC_TEXT.split()).items()))
 
     def test_matches_plain_wordcount_without_faults(self):
-        result = make_elastic_cluster(4).run(spec_wc)
+        result = make_wordcount_cluster(4).run(spec_wc)
         assert global_counts(result.returns) == self.expected()
 
     def test_straggler_mitigated_and_bit_identical(self):
         policy = ElasticPolicy(evict_stragglers=False, splits_per_rank=12)
-        fair = make_elastic_cluster(4).run(spec_wc, policy)
+        fair = make_wordcount_cluster(4).run(spec_wc, policy)
         base_time = fair.elapsed
 
-        slow = make_elastic_cluster(4)
+        slow = make_wordcount_cluster(4)
         slow.chaos = straggler_plan(0, 4)   # one rank 4-8x slower
         (rank, factor), = slow.chaos.stragglers.items()
         mitigated = slow.run(spec_wc, policy)
@@ -253,8 +251,8 @@ class TestSpeculativeMap:
 
     def test_speculation_off_is_unbounded(self):
         policy = ElasticPolicy(speculate=False, evict_stragglers=False)
-        fair = make_elastic_cluster(4).run(spec_wc, policy)
-        slow = make_elastic_cluster(4)
+        fair = make_wordcount_cluster(4).run(spec_wc, policy)
+        slow = make_wordcount_cluster(4)
         slow.chaos = ChaosPlan(0, stragglers={1: 6.0})
         hit = slow.run(spec_wc, policy)
         assert global_counts(hit.returns) == self.expected()
@@ -262,7 +260,7 @@ class TestSpeculativeMap:
 
     def test_speculation_metrics_counted(self):
         policy = ElasticPolicy(evict_stragglers=False, splits_per_rank=8)
-        cluster = make_elastic_cluster(4)
+        cluster = make_wordcount_cluster(4)
         cluster.chaos = ChaosPlan(0, stragglers={2: 6.0})
         cluster.run(spec_wc, policy)
         totals = cluster.metrics.totals()
@@ -276,15 +274,13 @@ class TestSpeculativeMap:
 
 class TestRestoreRebalanced:
     def save_with(self, pfs, nprocs, nonce="j"):
-        cfg = _elastic_cfg()
-
         def job(env):
             ckpt = CheckpointManager(env, "j", nonce=nonce)
             kvc = speculative_map(env, "input/elastic_words.txt", wc_map,
-                                  config=cfg, combine_fn=wc_combine)
+                                  config=CFG, combine_fn=wc_combine)
             ckpt.save_kvc("shuffle", kvc)
 
-        cluster = make_elastic_cluster(nprocs)
+        cluster = make_wordcount_cluster(nprocs)
         cluster.pfs = pfs if pfs is not None else cluster.pfs
         if pfs is not None:
             pfs.store("input/elastic_words.txt", ELASTIC_TEXT)
@@ -292,18 +288,16 @@ class TestRestoreRebalanced:
         return cluster.pfs
 
     def restore_with(self, pfs, nprocs, nonce="j"):
-        cfg = _elastic_cfg()
-
         def job(env):
             ckpt = CheckpointManager(env, "j", nonce=nonce)
             kvc = restore_rebalanced(env, ckpt, "shuffle",
-                                     layout=cfg.layout,
-                                     page_size=cfg.page_size)
+                                     layout=CFG.layout,
+                                     page_size=CFG.page_size)
             if kvc is None:
                 return None
             return sorted((k, unpack_u64(v)) for k, v in kvc.consume())
 
-        cluster = make_elastic_cluster(nprocs)
+        cluster = make_wordcount_cluster(nprocs)
         cluster.pfs = pfs
         return cluster.run(job)
 
@@ -320,7 +314,7 @@ class TestRestoreRebalanced:
         return tuple(sorted(Counter(ELASTIC_TEXT.split()).items()))
 
     def test_missing_checkpoint_returns_none(self):
-        cluster = make_elastic_cluster(2)
+        cluster = make_wordcount_cluster(2)
         result = self.restore_with(cluster.pfs, 2)
         assert result.returns == [None, None]
 
@@ -328,20 +322,17 @@ class TestRestoreRebalanced:
         # A 4-rank save that died between data and markers must not be
         # restorable by a smaller gang as a "complete" checkpoint, even
         # though a valid prefix of partitions exists.
-        from repro.ft.faults import FaultPlan
-
-        cfg = _elastic_cfg()
-        faults = FaultPlan().fail_at("ckpt:shuffle:precommit", 2)
+        faults = ChaosPlan().fail_at("ckpt:shuffle:precommit", 2)
 
         def dying_save(env):
             ckpt = CheckpointManager(env, "j", nonce="j", faults=faults)
             kvc = speculative_map(env, "input/elastic_words.txt", wc_map,
-                                  config=cfg, combine_fn=wc_combine)
+                                  config=CFG, combine_fn=wc_combine)
             ckpt.save_kvc("shuffle", kvc)
 
         from repro.mpi import RankFailedError
 
-        cluster = make_elastic_cluster(4)
+        cluster = make_wordcount_cluster(4)
         with pytest.raises(RankFailedError):
             cluster.run(dying_save)
         result = self.restore_with(cluster.pfs, 2)
@@ -353,7 +344,7 @@ class TestRestoreRebalanced:
 
 class TestRunElastic:
     def baseline(self):
-        res = run_elastic(make_elastic_cluster(4), elastic_wordcount,
+        res = run_elastic(make_wordcount_cluster(4), elastic_wordcount,
                           job_id="base")
         assert res.attempts == 1 and not res.membership_log
         return global_counts(res.result.returns)
@@ -361,7 +352,7 @@ class TestRunElastic:
     def test_death_shrinks_instead_of_restarting_at_size(self):
         expected = self.baseline()
         plan = ChaosPlan(0).fail_at("after_shuffle", 1)
-        res = run_elastic(make_elastic_cluster(4), elastic_wordcount,
+        res = run_elastic(make_wordcount_cluster(4), elastic_wordcount,
                           faults=plan, job_id="death")
         assert res.final_nprocs == 3
         assert [m.kind for m in res.membership_log] == ["death"]
@@ -373,7 +364,7 @@ class TestRunElastic:
         plan = ChaosPlan(0, membership=[
             MembershipEvent(at=0.001, kind="leave", rank=2),
             MembershipEvent(at=0.01, kind="join")])
-        res = run_elastic(make_elastic_cluster(4), elastic_wordcount,
+        res = run_elastic(make_wordcount_cluster(4), elastic_wordcount,
                           faults=plan, job_id="members")
         kinds = [m.kind for m in res.membership_log]
         assert kinds == ["leave", "join"]
@@ -383,7 +374,7 @@ class TestRunElastic:
     def test_straggler_eviction_removes_slow_host(self):
         expected = self.baseline()
         plan = ChaosPlan(0, stragglers={1: 6.0})
-        res = run_elastic(make_elastic_cluster(4), elastic_wordcount,
+        res = run_elastic(make_wordcount_cluster(4), elastic_wordcount,
                           faults=plan,
                           policy=ElasticPolicy(splits_per_rank=8),
                           job_id="evict")
@@ -398,7 +389,7 @@ class TestRunElastic:
         plan = ChaosPlan(0, membership=[
             MembershipEvent(at=0.001, kind="leave", rank=0),
             MembershipEvent(at=0.002, kind="leave", rank=0)])
-        res = run_elastic(make_elastic_cluster(2), elastic_wordcount,
+        res = run_elastic(make_wordcount_cluster(2), elastic_wordcount,
                           faults=plan,
                           policy=ElasticPolicy(min_ranks=1),
                           job_id="floor")
@@ -412,7 +403,7 @@ class TestRunElastic:
         expected = self.baseline()
         plan = ChaosPlan(0, stragglers={2: 5.0},
                          io_error_rate=0.05).fail_at("after_shuffle", 1)
-        res = run_elastic(make_elastic_cluster(4), elastic_wordcount,
+        res = run_elastic(make_wordcount_cluster(4), elastic_wordcount,
                           faults=plan,
                           policy=ElasticPolicy(evict_stragglers=False,
                                                splits_per_rank=8),
@@ -429,25 +420,25 @@ class TestRunElastic:
     def test_chaos_membership_sweep_converges(self):
         expected = self.baseline()
         for seed in range(4):
-            plan = ChaosPlan.random(seed, 4, tags=ELASTIC_TAGS,
+            plan = ChaosPlan.random(seed, 4, tags=CHAOS_TAGS,
                                     membership=True)
-            res = run_elastic(make_elastic_cluster(4), elastic_wordcount,
+            res = run_elastic(make_wordcount_cluster(4), elastic_wordcount,
                               faults=plan, job_id="chaos",
                               max_restarts=12)
             assert global_counts(res.result.returns) == expected, \
                 f"seed {seed} diverged"
 
     def test_membership_metric_counted(self):
-        cluster = make_elastic_cluster(4)
+        cluster = make_wordcount_cluster(4)
         plan = ChaosPlan(0, membership=[
             MembershipEvent(at=0.001, kind="leave", rank=1)])
         run_elastic(cluster, elastic_wordcount, faults=plan, job_id="m")
         assert cluster.metrics.totals().get("ft.membership.changes") == 1
 
     def test_sweep_job_matches_checkpointed_job(self):
-        a = run_elastic(make_elastic_cluster(4), elastic_wordcount,
+        a = run_elastic(make_wordcount_cluster(4), elastic_wordcount,
                         job_id="a")
-        b = run_elastic(make_elastic_cluster(4), sweep_wordcount,
+        b = run_elastic(make_wordcount_cluster(4), sweep_wordcount,
                         job_id="b")
         assert global_counts(a.result.returns) \
             == global_counts(b.result.returns)

@@ -201,12 +201,12 @@ class TestWiring:
         assert totals["io.pfs.writes"] >= 4  # data + marker per rank
 
     def test_restart_metric(self):
-        from repro.ft.faults import FaultPlan
+        from repro.ft.injection import ChaosPlan
         from repro.ft.runner import run_with_recovery
 
         cluster = Cluster(COMET, nprocs=2, memory_limit=None)
         cluster.pfs.store("t.txt", TEXT)
-        plan = FaultPlan().fail_at("mid", 1)
+        plan = ChaosPlan().fail_at("mid", 1)
 
         def job(env, ckpt, faults):
             mimir = Mimir(env, CFG)

@@ -113,6 +113,14 @@ class TestProtocolSemantics:
         assert backend.stats.bytes_written == len(b"0123456789BBAAonetwo")
 
     @backend_param
+    def test_spilled_bytes_counts_writes_only(self, spec):
+        backend = make_backend(spec)
+        comm = _FakeComm()
+        backend.write(comm, "spill/kv.0", b"x" * 100)
+        assert backend.read(comm, "spill/kv.0") == b"x" * 100
+        assert backend.spilled_bytes == 100
+
+    @backend_param
     def test_cost_model_charges_virtual_time(self, spec):
         backend = make_backend(spec, platform=COMET)
         comm = _FakeComm()

@@ -10,7 +10,7 @@ full-batch twin over the same total input.
 import pytest
 
 from repro.cluster import Cluster
-from repro.ft.faults import FaultPlan
+from repro.ft.injection import ChaosPlan
 from repro.ft.runner import run_with_recovery
 from repro.mpi import COMET
 from repro.sched import StageCache
@@ -241,7 +241,7 @@ class TestKillResume:
         # checkpointed and continues - output matches the twin.
         stream = make_doc_stream(seed=2)
         cluster = make_cluster()
-        plan = FaultPlan().fail_at("batch3", 1)
+        plan = ChaosPlan().fail_at("batch3", 1)
 
         def job(env, ckpt, faults):
             scenario = StreamWordCount(env, config=DEMO_CONFIG)
