@@ -9,8 +9,8 @@ PageRank, TeraSort) through every combination of
   spills and exchange parts).
 
 on a Comet platform whose ``record_overhead`` is set to a plausible
-full-scale per-record dispatch cost (0.25 us, stretched by the 1/1024
-rescaling like every other rate).  Per-record paths charge one op per
+full-scale per-record dispatch cost (1 us, stretched by the 1/1024
+rescaling like every other rate; see ``RECORD_OVERHEAD``).  Per-record paths charge one op per
 record, batch paths one op per page, so the measured gap in *virtual*
 time is exactly the dispatch overhead the columnar path removes -
 byte-rate charges are identical in both modes.

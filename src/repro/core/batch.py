@@ -20,7 +20,15 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.core.records import KVLayout
+import numpy as np
+
+from repro.core.records import KVLayout, take_bytes
+
+
+def _numpy(column) -> np.ndarray:
+    """An ``array('Q')`` offset column as an int64 numpy view (no
+    copy; offsets are far below 2**63)."""
+    return np.frombuffer(column, np.int64)
 
 
 def batch_kernel(fn):
@@ -71,8 +79,19 @@ class KVBatch:
         """Key plus value bytes, headers excluded - what the
         per-record paths charge compute for, kept chargeable here
         without touching any record."""
-        return (sum(self.kend) - sum(self.koff) +
-                sum(self.vend) - sum(self.voff))
+        koff, kend, voff, vend = map(_numpy, (self.koff, self.kend,
+                                               self.voff, self.vend))
+        return int(kend.sum() - koff.sum() + vend.sum() - voff.sum())
+
+    def key_spans(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(starts, lengths)`` of the keys, as int64 numpy arrays."""
+        koff = _numpy(self.koff)
+        return koff, _numpy(self.kend) - koff
+
+    def value_spans(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(starts, lengths)`` of the values, as int64 numpy arrays."""
+        voff = _numpy(self.voff)
+        return voff, _numpy(self.vend) - voff
 
     # ------------------------------------------------------- zero-copy
 
@@ -106,11 +125,11 @@ class KVBatch:
     def value_bytes(self, i: int) -> bytes:
         return bytes(self.arena[self.voff[i] : self.vend[i]])
 
-    def keys_bytes(self) -> Iterator[bytes]:
-        """Keys as ``bytes`` (hashable/orderable), one tight frame."""
-        arena = self.arena
-        for start, stop in zip(self.koff, self.kend):
-            yield bytes(arena[start:stop])
+    def keys_bytes(self) -> list[bytes]:
+        """Keys as ``bytes`` (hashable/orderable), in record order,
+        built without a Python frame per key."""
+        return take_bytes(np.frombuffer(self.arena, np.uint8),
+                          *self.key_spans())
 
     def pairs_bytes(self) -> Iterator[tuple[bytes, bytes]]:
         """``(key, value)`` as ``bytes``: the compatibility iterator.

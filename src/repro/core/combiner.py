@@ -15,6 +15,7 @@ high enough.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Callable
 
 from repro.cluster import RankEnv
@@ -74,21 +75,23 @@ class Combiner:
 
     # -------------------------------------------------------- batch emits
 
-    def emit_run(self, keys, value: bytes) -> None:
-        """Merge ``(key, value)`` for every key in one dispatch."""
+    def emit_run(self, keys, value: bytes) -> int:
+        """Merge ``(key, value)`` for every key in one dispatch; returns
+        the number of records taken."""
         count = 0
         for key in keys:
             self._merge(key, value)
             count += 1
-        self._note_batch(count)
+        return self._note_batch(count)
 
-    def emit_pairs(self, pairs) -> None:
-        """Merge ``(key, value)`` pairs in one dispatch."""
+    def emit_pairs(self, pairs) -> int:
+        """Merge ``(key, value)`` pairs in one dispatch; returns the
+        number of records taken."""
         count = 0
         for key, value in pairs:
             self._merge(key, value)
             count += 1
-        self._note_batch(count)
+        return self._note_batch(count)
 
     def emit_batch(self, batch) -> None:
         """Merge every record of a :class:`~repro.core.batch.KVBatch`."""
@@ -98,7 +101,7 @@ class Combiner:
             count += 1
         self._note_batch(count)
 
-    def _note_batch(self, count: int) -> None:
+    def _note_batch(self, count: int) -> int:
         self.records_in += count
         self._ops += 1
         self.batch_records += count
@@ -106,6 +109,7 @@ class Combiner:
         if self.bucket_budget is not None and \
                 self.bucket.accounted_bytes > self.bucket_budget:
             self._partial_flush()
+        return count
 
     def _partial_flush(self) -> None:
         """Drain the bucket mid-map, bounding its memory footprint.
@@ -120,22 +124,25 @@ class Combiner:
         """Drain the bucket; returns the merged payload bytes moved.
 
         In batch mode the survivors flow out through one
-        ``emit_pairs`` dispatch; the records, bytes, and exchange
-        trigger points are identical to the per-record drain.
+        ``emit_pairs`` dispatch; the records, bytes, exchange trigger
+        points and bucket releases are those of the per-record drain.
         """
-        merged_bytes = 0
         if self.batch_calls:
-            def _accounted():
-                nonlocal merged_bytes
-                for key, value in self.bucket.drain():
-                    merged_bytes += len(key) + len(value)
-                    yield key, value
+            pairs = list(self.bucket.items())
+            released = 0
 
-            self.shuffler.emit_pairs(_accounted())
-        else:
-            for key, value in self.bucket.drain():
-                self.shuffler.emit(key, value)
-                merged_bytes += len(key) + len(value)
+            def release(upto: int) -> None:
+                nonlocal released
+                self.bucket.release(pairs[released:upto])
+                released = upto
+
+            self.shuffler.emit_pairs(pairs, taken=release)
+            release(len(pairs))
+            return sum(map(len, chain.from_iterable(pairs)))
+        merged_bytes = 0
+        for key, value in self.bucket.drain():
+            self.shuffler.emit(key, value)
+            merged_bytes += len(key) + len(value)
         return merged_bytes
 
     @property

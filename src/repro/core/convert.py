@@ -24,22 +24,21 @@ def convert_to_kmv(env: RankEnv, kvc: KVContainer, config: MimirConfig,
     """Convert ``kvc`` (consumed) into a new KMV container."""
     sizes = CountingBucket(env.tracker, config.bucket_entry_overhead)
 
-    # Pass 1: gather per-key sizes.
+    # Pass 1: gather per-key sizes, a page at a time.
     scanned = 0
-    for key, value in kvc.records():
-        sizes.add(key, len(value))
-        scanned += len(key) + len(value)
+    for batch in kvc.batches():
+        sizes.add_keys(batch.keys_bytes(), batch.value_spans()[1])
+        scanned += batch.payload_bytes
 
-    # Lay out one exactly sized slot per unique key, in first-seen order.
+    # Lay out one exactly sized slot per unique key, in first-seen
+    # order: slot ids are the bucket's key ids.
     kmvc = KMVContainer(env.tracker, kvc.layout, config.page_size, tag=tag)
-    slots: dict[bytes, int] = {
-        key: kmvc.reserve(key, count, total)
-        for key, (count, total) in sizes.items()
-    }
+    for key, (count, total) in sizes.items():
+        kmvc.reserve(key, count, total)
 
     # Pass 2: fill values while releasing KV pages.
-    for key, value in kvc.consume():
-        kmvc.append_value(slots[key], value)
+    for batch in kvc.consume_batches():
+        kmvc.fill_batch(batch, sizes.ids(batch.keys_bytes()))
     kmvc.finish_fill()
 
     sizes.free()
@@ -58,12 +57,8 @@ def iter_grouped(env: RankEnv, kvc: KVContainer, config: MimirConfig,
     memory budget and each partition is grouped and yielded on its own,
     so the full KMV never exists at once.
     """
-    if config.out_of_core and _needs_partitioned_convert(env, kvc):
-        for groups in _iter_partition_dicts(env, kvc, config):
-            yield from groups.items()
-        return
-    kmvc = convert_to_kmv(env, kvc, config)
-    yield from kmvc.consume()
+    for groups in iter_grouped_batches(env, kvc, config):
+        yield from groups
 
 
 def iter_grouped_batches(env: RankEnv, kvc: KVContainer, config: MimirConfig,

@@ -60,23 +60,11 @@ class MapContext:
 
     def emit_run(self, keys, value: bytes) -> None:
         """Emit ``(key, value)`` for every key, sharing one value."""
-        sink = self._sink
-        before = sink.records_in if hasattr(sink, "records_in") \
-            else sink.records_sent
-        sink.emit_run(keys, value)
-        after = sink.records_in if hasattr(sink, "records_in") \
-            else sink.records_sent
-        self.nemitted += after - before
+        self.nemitted += self._sink.emit_run(keys, value)
 
     def emit_pairs(self, pairs) -> None:
         """Emit an iterable of ``(key, value)`` pairs in one dispatch."""
-        sink = self._sink
-        before = sink.records_in if hasattr(sink, "records_in") \
-            else sink.records_sent
-        sink.emit_pairs(pairs)
-        after = sink.records_in if hasattr(sink, "records_in") \
-            else sink.records_sent
-        self.nemitted += after - before
+        self.nemitted += self._sink.emit_pairs(pairs)
 
     def emit_batch(self, batch) -> None:
         """Re-emit every record of a :class:`~repro.core.batch.KVBatch`."""
@@ -383,7 +371,7 @@ class Mimir:
                     batch_pages += 1
                     reduced_keys += len(groups)
                     reduced_bytes += sum(
-                        len(key) + sum(len(v) for v in values)
+                        len(key) + sum(map(len, values))
                         for key, values in groups)
             else:
                 for key, values in iter_grouped(self.env, source,
@@ -391,7 +379,7 @@ class Mimir:
                     reduce_fn(ctx, key, values)
                     ops += 1
                     reduced_keys += 1
-                    reduced_bytes += len(key) + sum(len(v) for v in values)
+                    reduced_bytes += len(key) + sum(map(len, values))
             self.env.charge_compute(reduced_bytes)
             self.env.charge_ops(ops)
         metrics = self.env.metrics

@@ -202,8 +202,6 @@ class KVContainer:
         would (a record never straddles two pages), without decoding or
         re-encoding anything.  Returns the number of records added.
         """
-        if isinstance(buf, memoryview):
-            buf = bytes(buf)
         roff = self.layout.scan(buf)[0]
         n = len(roff) - 1
         if n <= 0:

@@ -14,7 +14,10 @@ from __future__ import annotations
 import struct
 from array import array
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator
+
+import numpy as np
 
 #: Length hint: the field is variable-length and carries a u32 header.
 VARIABLE = None
@@ -33,7 +36,112 @@ def pack_u64(value: int) -> bytes:
 
 
 def unpack_u64(data: bytes | memoryview) -> int:
-    return _U64.unpack(bytes(data[:8]))[0]
+    return _U64.unpack_from(data)[0]
+
+
+def _column(values, shift: int = 0) -> array:
+    """``values + shift`` (numpy) as an ``array('Q')`` offset column,
+    written in place: Python-level consumers index it without
+    numpy-scalar overhead, and no numpy temporary is made."""
+    column = array("Q", (0,)) * len(values)
+    np.add(values, shift, out=np.frombuffer(column, np.int64))
+    return column
+
+
+def _u32_at(data, offsets):
+    """Little-endian u32s read at arbitrary byte ``offsets`` of a uint8
+    array, one byte lane at a time (no alignment needed)."""
+    value = data[offsets].astype(np.int64)
+    for lane in (1, 2, 3):
+        value |= data[offsets + lane].astype(np.int64) << (8 * lane)
+    return value
+
+
+#: Output bytes per numpy gather step in :func:`gather`: each step's
+#: index arrays cost 8 bytes per byte moved, so this bounds them.
+GATHER_BYTES = 8192
+
+
+def gather(data, starts, lengths) -> np.ndarray:
+    """``data[s:s + n]`` for every ``(s, n)`` of the numpy columns
+    ``starts``/``lengths``, concatenated into one uint8 array."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if len(ends) else 0
+    out = np.empty(total, np.uint8)
+    shift = starts - (ends - lengths)   # source minus output offset
+    cuts = np.searchsorted(
+        ends, np.arange(GATHER_BYTES, total, GATHER_BYTES)).tolist()
+    for lo, hi in zip([0, *cuts], [*cuts, len(ends)]):
+        if lo == hi:   # a slice longer than one step spans several cuts
+            continue
+        first = int(ends[lo] - lengths[lo])
+        last = int(ends[hi - 1])
+        index = np.repeat(shift[lo:hi], lengths[lo:hi])
+        index += np.arange(first, last)
+        out[first:last] = data[index]
+    return out
+
+
+def take_bytes(data, starts, lengths) -> list:
+    """``[bytes(data[s:s + n]) for s, n in zip(starts, lengths)]`` for
+    a uint8 array and numpy ``starts``/``lengths``, without a Python
+    frame per slice: the slices are gathered ordered by length, and
+    each run of one length becomes ``bytes`` objects through the
+    ``tolist`` of a void view."""
+    count = len(starts)
+    if not count:
+        return []
+    order = np.argsort(lengths, kind="stable")
+    ranked = lengths[order]
+    flat = gather(data, starts[order], ranked)
+    cuts = (np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist()
+    pieces = []
+    offset = 0
+    for lo, hi in zip([0, *cuts], [*cuts, count]):
+        length = int(ranked[lo])
+        if length:
+            block = flat[offset : offset + (hi - lo) * length]
+            pieces.append(block.view(f"V{length}").tolist())
+        else:
+            pieces.append([b""] * (hi - lo))
+        offset += (hi - lo) * length
+    if not cuts:
+        return pieces[0]
+    out = np.empty(count, object)
+    out[order] = list(chain.from_iterable(pieces))
+    return out.tolist()
+
+
+def _field_stepper(hint, buf, end: int):
+    """``offset -> next_offset`` over one field of the given hint,
+    raising the truncation errors of :meth:`KVLayout.decode`."""
+    if hint is VARIABLE:
+        unpack = _U32.unpack_from
+
+        def step(offset: int) -> int:
+            if offset + 4 > end:
+                raise ValueError(f"truncated length header at offset {offset}")
+            stop = offset + 4 + unpack(buf, offset)[0]
+            if stop > end:
+                raise ValueError(f"truncated field at offset {offset}")
+            return stop
+    elif hint == CSTRING:
+        # ``find`` stops at the first NUL: a numpy pass would list every
+        # NUL of the buffer, most of them inside the other field.
+        find = (buf if hasattr(buf, "find") else bytes(buf)).find
+
+        def step(offset: int) -> int:
+            stop = find(b"\0", offset, end)
+            if stop < 0:
+                raise ValueError(
+                    f"unterminated NUL string at offset {offset}")
+            return stop + 1
+    else:
+        def step(offset: int) -> int:
+            if offset + hint > end:
+                raise ValueError(f"truncated fixed field at offset {offset}")
+            return offset + hint
+    return step
 
 
 def _check_hint(hint: int | None, name: str) -> None:
@@ -193,29 +301,6 @@ class KVLayout:
         value, offset = self._decode_field(self.val_len, buf, offset)
         return key, value, offset
 
-    def _scan_field(self, hint: int | None, buf, offset: int,
-                    end: int) -> tuple[int, int, int]:
-        """Like :meth:`_decode_field` but offsets-only (no bytes object).
-
-        Returns ``(data_start, data_end, next_offset)``.
-        """
-        if hint is VARIABLE:
-            if offset + 4 > end:
-                raise ValueError(f"truncated length header at offset {offset}")
-            (n,) = _U32.unpack_from(buf, offset)
-            start = offset + 4
-            if start + n > end:
-                raise ValueError(f"truncated field at offset {offset}")
-            return start, start + n, start + n
-        if hint == CSTRING:
-            stop = buf.find(b"\0", offset, end)
-            if stop < 0:
-                raise ValueError(f"unterminated NUL string at offset {offset}")
-            return offset, stop, stop + 1
-        if offset + hint > end:
-            raise ValueError(f"truncated fixed field at offset {offset}")
-        return offset, offset + hint, offset + hint
-
     def scan(self, buf, end: int | None = None):
         """Column-scan a packed run of records into offset arrays.
 
@@ -225,8 +310,13 @@ class KVLayout:
         ``buf[voff[i]:vend[i]]``.  ``roff`` has one extra trailing entry
         (the scan end), so it doubles as the record-boundary table the
         bulk-copy paths split on.  No per-record bytes objects are
-        created.  ``buf`` must be ``bytes`` or ``bytearray`` (CSTRING
-        scanning needs ``find``); pass ``end`` to scan a valid prefix.
+        created.  ``buf`` is any byte buffer (``bytes``, ``bytearray``,
+        ``memoryview``; a memoryview is copied only when a field is
+        NUL-terminated); pass ``end`` to scan a valid prefix.
+
+        The sequential walk only records where each record (and, off the
+        default layout, its value field) starts; the other columns are
+        derived from those with numpy.
         """
         if end is None:
             end = len(buf)
@@ -243,42 +333,59 @@ class KVLayout:
                     array("Q", range(kl, end + 1, rec)),
                     array("Q", range(kl, end + 1, rec)),
                     array("Q", range(rec, end + 1, rec)))
-        if isinstance(buf, memoryview):
-            buf = bytes(buf)
-        roff = array("Q")
-        koff = array("Q")
-        kend = array("Q")
-        voff = array("Q")
-        vend = array("Q")
-        offset = 0
+        data = np.frombuffer(buf, np.uint8, count=end)
         if kl is VARIABLE and vl is VARIABLE:
-            while offset < end:
-                if offset + 8 > end:
-                    raise ValueError(
-                        f"truncated record header at offset {offset}")
-                klen, vlen = _U32x2.unpack_from(buf, offset)
-                ks = offset + 8
-                vs = ks + klen
-                ve = vs + vlen
-                if ve > end:
-                    raise ValueError(f"truncated record at offset {offset}")
-                roff.append(offset)
-                koff.append(ks)
-                kend.append(vs)
-                voff.append(vs)
-                vend.append(ve)
-                offset = ve
+            # The default layout: walk the 8-byte headers for record
+            # starts only; the key lengths come from one numpy gather.
+            starts = array("q")
+            append = starts.append
+            unpack = _U32x2.unpack_from
+            offset = 0
+            try:
+                while offset < end:
+                    klen, vlen = unpack(buf, offset)
+                    append(offset)
+                    offset += 8 + klen + vlen
+            except struct.error:   # a header running off the buffer
+                raise ValueError(
+                    f"truncated record header at offset {offset}") from None
+            if offset > end:
+                # Bounds are checked once, after the walk: a header read
+                # past ``end`` (but inside ``buf``) only moves the last
+                # start beyond it.
+                last = starts[-1]
+                what = "record header" if last + 8 > end else "record"
+                raise ValueError(f"truncated {what} at offset {last}")
+            roff = np.frombuffer(starts, np.int64)
+            mid = _u32_at(data, roff)
+            mid += roff
+            mid += 8
         else:
+            step_key = _field_stepper(kl, buf, end)
+            step_value = _field_stepper(vl, buf, end)
+            starts = array("q")
+            mids = array("q")
+            offset = 0
             while offset < end:
-                roff.append(offset)
-                ks, ke, offset = self._scan_field(kl, buf, offset, end)
-                vs, ve, offset = self._scan_field(vl, buf, offset, end)
-                koff.append(ks)
-                kend.append(ke)
-                voff.append(vs)
-                vend.append(ve)
-        roff.append(end)
-        return roff, koff, kend, voff, vend
+                starts.append(offset)
+                offset = step_key(offset)
+                mids.append(offset)
+                offset = step_value(offset)
+            roff = np.frombuffer(starts, np.int64)
+            mid = np.frombuffer(mids, np.int64)
+        # Header bytes before the key and before the value; the default
+        # layout keeps both lengths in one 8-byte header up front.
+        key_hdr = self.header_size if kl is VARIABLE else 0
+        val_hdr = 4 if vl is VARIABLE and kl is not VARIABLE else 0
+        nul = 1 if vl == CSTRING else 0
+        rcol = _column(roff)
+        rcol.append(end)
+        vcol = _column(roff[1:], -nul)
+        if len(roff):
+            vcol.append(end - nul)
+        return (rcol, _column(roff, key_hdr),
+                _column(mid, -1 if kl == CSTRING else 0),
+                _column(mid, val_hdr), vcol)
 
     def iter_records(self, buf: bytes | memoryview) -> Iterator[tuple[bytes, bytes]]:
         """Yield every record of a packed buffer."""

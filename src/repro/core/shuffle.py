@@ -20,7 +20,11 @@ of done-flags decides whether the aggregate phase is over.
 from __future__ import annotations
 
 import zlib
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import Callable
+
+import numpy as np
 
 from repro.cluster import RankEnv
 from repro.core.batch import KVBatch
@@ -28,12 +32,47 @@ from repro.core.codec import get_codec, note_encode
 from repro.core.config import MimirConfig
 from repro.core.errors import RecordTooLargeError
 from repro.core.kvcontainer import KVContainer
-from repro.core.records import KVLayout
+from repro.core.records import _U32, _U32x2, CSTRING, VARIABLE, KVLayout
 
 
 def default_partitioner(key: bytes, nprocs: int) -> int:
     """Stable key-to-rank hash (crc32: deterministic across processes)."""
     return zlib.crc32(key) % nprocs
+
+
+#: Records per numpy step of the bulk emits: large enough to amortise
+#: the per-step calls, small enough that the per-record columns stay a
+#: few pages in size.
+EMIT_BLOCK = 2048
+
+
+def _field_sizes(hint, lengths):
+    """Encoded bytes of each field of the given lengths under ``hint``."""
+    if hint is VARIABLE:
+        return lengths + 4
+    if hint == CSTRING:
+        return lengths + 1
+    return np.full(len(lengths), hint, np.int64)
+
+
+def _first(mask) -> int:
+    """Index of the first true entry of ``mask``, or its length."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if len(hits) else len(mask)
+
+
+def _first_invalid(hint, fields, lengths) -> int:
+    """Index of the first field the layout would refuse to encode (a
+    NUL inside a NUL-terminated field, a wrong fixed length), or the
+    field count."""
+    if hint is VARIABLE:
+        return len(fields)
+    if hint == CSTRING:
+        at = b"".join(fields).find(b"\0")
+        if at < 0:
+            return len(fields)
+        return int(np.searchsorted(np.cumsum(lengths), at, "right"))
+    return _first(lengths != hint)
 
 
 class Shuffler:
@@ -117,63 +156,183 @@ class Shuffler:
     # record.  Partition fills, exchange trigger points, and the
     # resulting byte streams are identical to repeated single emits.
 
-    def emit_run(self, keys, value: bytes) -> None:
-        """Emit ``(key, value)`` for every key of a batch, same value."""
-        layout = self.layout
-        partitioner = self.partitioner
-        nprocs = self.nprocs
-        part_size = self.part_size
-        fill = self._fill
-        send = self._send
-        count = 0
-        nbytes = 0
-        for key in keys:
-            n = layout.encoded_size(key, value)
-            dest = partitioner(key, nprocs)
-            if n > part_size:
-                raise RecordTooLargeError(n, part_size,
-                                          "send-buffer partition")
-            if fill[dest] + n > part_size:
-                self.exchange(done=False)
-            base = dest * part_size + fill[dest]
-            layout.encode_into(send, base, key, value)
-            fill[dest] += n
-            count += 1
-            nbytes += n
-        self.records_sent += count
-        self.bytes_sent += nbytes
-        self.ops += 1
-        self.batch_records += count
-        self.batch_calls += 1
+    def emit_run(self, keys, value: bytes) -> int:
+        """Emit ``(key, value)`` for every key of a batch, same value;
+        returns the number of records taken."""
+        keys = keys if isinstance(keys, list) else list(keys)
+        return self._note_batch(self._emit_columns(keys, None, value))
 
-    def emit_pairs(self, pairs) -> None:
-        """Emit ``(key, value)`` pairs in one framework dispatch."""
+    def emit_pairs(self, pairs, *, taken=None) -> int:
+        """Emit ``(key, value)`` pairs in one framework dispatch;
+        returns the number of records taken.
+
+        ``taken(n)``, if given, is called with the number of pairs
+        consumed so far just before each mid-run exchange (and before
+        a failing record raises), which is where a lazy iterator would
+        have been advanced to: a caller draining a memory-accounted
+        source releases it there, keeping its tracker timeline that of
+        a record-at-a-time drain.
+        """
+        pairs = pairs if isinstance(pairs, list) else list(pairs)
+        keys = list(map(itemgetter(0), pairs))
+        values = list(map(itemgetter(1), pairs))
+        return self._note_batch(self._emit_columns(keys, values, None,
+                                                   taken))
+
+    def _note_batch(self, count: int) -> int:
+        self.records_sent += count
+        self.ops += 1
+        self.batch_records += count
+        self.batch_calls += 1
+        return count
+
+    def _emit_columns(self, keys: list, values: list | None,
+                      value: bytes | None, taken=None) -> int:
+        """Bulk insert of a run, :data:`EMIT_BLOCK` records at a time so
+        the per-record columns stay small; returns the record count."""
+        n = len(keys)
+        nbytes = 0
+        for lo in range(0, n, EMIT_BLOCK):
+            hi = min(n, lo + EMIT_BLOCK)
+            nbytes += self._emit_block(
+                keys[lo:hi], None if values is None else values[lo:hi],
+                value, None if taken is None else
+                (lambda k, lo=lo: taken(lo + k)))
+        # Counted once the whole run is in, as a record-at-a-time loop
+        # over the run would.
+        self.bytes_sent += nbytes
+        return n
+
+    def _emit_block(self, keys: list, values: list | None,
+                    value: bytes | None, taken) -> int:
+        """Bulk insert of ``keys[i]`` with ``values[i]`` (or the one
+        ``value``); returns the bytes written.
+
+        Lengths, destinations and record sizes are computed for the
+        whole block at once.  Each stretch of records that fits before
+        the next exchange is found with integer arithmetic on per-
+        destination running sizes, and each destination's share of it
+        is encoded with one ``b"".join``.  The first record that is too
+        large or invalid for the layout goes through :meth:`emit` after
+        the records before it, so it raises exactly where a
+        record-at-a-time loop would (and before any counter moves).
+        """
+        n = len(keys)
         layout = self.layout
-        partitioner = self.partitioner
+        klens = np.fromiter(map(len, keys), np.int64, n)
+        sizes = _field_sizes(layout.key_len, klens)
+        if values is None:
+            vlens = None
+            sizes += layout.field_size(layout.val_len, value)
+            value_bad = n if _first_invalid(layout.val_len, [value],
+                                            np.array([len(value)])) else 0
+        else:
+            vlens = np.fromiter(map(len, values), np.int64, n)
+            sizes += _field_sizes(layout.val_len, vlens)
+            value_bad = _first_invalid(layout.val_len, values, vlens)
+        bad = min(_first(sizes > self.part_size),
+                  _first_invalid(layout.key_len, keys, klens), value_bad)
+        nprocs = self.nprocs
+        head = keys[:bad] if bad < n else keys
+        if self.partitioner is default_partitioner:
+            dests = np.fromiter(map(zlib.crc32, head), np.int64, bad)
+            dests %= nprocs
+            placed = bad
+        else:
+            dests = np.fromiter(
+                map(self.partitioner, head, repeat(nprocs, bad)),
+                np.int64, bad)
+            placed = _first((dests < 0) | (dests >= nprocs))
+        nbytes = self._place(keys, values, value, klens, vlens, sizes,
+                             dests[:placed], taken)
+        if placed < n:
+            if taken is not None:
+                taken(placed + 1)
+            if placed < bad:
+                raise ValueError(
+                    f"partitioner sent key {keys[placed]!r} to rank "
+                    f"{dests[placed]}, outside 0..{nprocs - 1}")
+            self.emit(keys[bad], value if values is None else values[bad])
+        return nbytes
+
+    def _place(self, keys, values, value, klens, vlens, sizes, dests,
+               taken) -> int:
+        """Write the first ``len(dests)`` records into their partitions,
+        running an exchange wherever the record-at-a-time path would;
+        returns the bytes written."""
+        count = len(dests)
+        if not count:
+            return 0
         nprocs = self.nprocs
         part_size = self.part_size
         fill = self._fill
         send = self._send
-        count = 0
-        nbytes = 0
-        for key, value in pairs:
-            n = layout.encoded_size(key, value)
-            dest = partitioner(key, nprocs)
-            if n > part_size:
-                raise RecordTooLargeError(n, part_size,
-                                          "send-buffer partition")
-            if fill[dest] + n > part_size:
-                self.exchange(done=False)
-            base = dest * part_size + fill[dest]
-            layout.encode_into(send, base, key, value)
-            fill[dest] += n
-            count += 1
-            nbytes += n
-        self.records_sent += count
-        self.bytes_sent += nbytes
-        self.ops += 1
-        self.batch_records += count
-        self.batch_calls += 1
+        order = np.argsort(dests, kind="stable")
+        bounds = np.searchsorted(dests[order], np.arange(nprocs + 1))
+        # Per destination: its records' run positions and running byte
+        # totals (with a leading 0), in run order.
+        positions = [order[bounds[d] : bounds[d + 1]] for d in range(nprocs)]
+        running = []
+        for pos in positions:
+            cum = np.zeros(len(pos) + 1, np.int64)
+            np.cumsum(sizes[pos], out=cum[1:])
+            running.append(cum)
+        done = [0] * nprocs   # records of each destination placed
+        while True:
+            # The first record that no longer fits its partition ends
+            # the stretch; every destination's records before it fit.
+            stop = count
+            for d in range(nprocs):
+                cum = running[d]
+                k = int(np.searchsorted(
+                    cum, cum[done[d]] + part_size - fill[d], "right")) - 1
+                if k < len(positions[d]):
+                    stop = min(stop, int(positions[d][k]))
+            for d in range(nprocs):
+                j = done[d]
+                k = int(np.searchsorted(positions[d], stop))
+                if k == j:
+                    continue
+                blob = self._encode_run(positions[d][j:k], keys, values,
+                                        value, klens, vlens)
+                base = d * part_size + fill[d]
+                send[base : base + len(blob)] = blob
+                fill[d] += len(blob)
+                done[d] = k
+            if stop == count:
+                return int(sizes[:count].sum())
+            if taken is not None:
+                taken(stop + 1)
+            self.exchange(done=False)
+
+    def _encode_run(self, pos, keys, values, value, klens, vlens) -> bytes:
+        """The records at run positions ``pos``, encoded back to back:
+        one column per piece (headers, key, NUL, value, NUL) built at C
+        speed, interleaved by ``zip`` and joined once."""
+        layout = self.layout
+        kl, vl = layout.key_len, layout.val_len
+        idx = pos.tolist()
+        nrec = len(idx)
+        if values is None:
+            value_col = repeat(value, nrec)
+            vlen_col = repeat(len(value), nrec)
+        else:
+            value_col = map(values.__getitem__, idx)
+            vlen_col = vlens[pos].tolist()
+        columns = []
+        if kl is VARIABLE and vl is VARIABLE:
+            columns.append(map(_U32x2.pack, klens[pos].tolist(), vlen_col))
+        elif kl is VARIABLE:
+            columns.append(map(_U32.pack, klens[pos].tolist()))
+        columns.append(map(keys.__getitem__, idx))
+        if kl == CSTRING:
+            columns.append(repeat(b"\0", nrec))
+        if vl is VARIABLE and kl is not VARIABLE:
+            columns.append(map(_U32.pack, vlen_col))
+        columns.append(value_col)
+        if vl == CSTRING:
+            columns.append(repeat(b"\0", nrec))
+        return b"".join(chain.from_iterable(zip(*columns)))
 
     def emit_batch(self, batch: KVBatch) -> None:
         """Route every record of a :class:`KVBatch` by its key hash.
