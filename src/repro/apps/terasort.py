@@ -56,8 +56,9 @@ def terasort_mimir(env: RankEnv, input_path: str, output_path: str,
 
     The on-PFS record format *is* the fixed/fixed KV encoding, so the
     batch map wraps each input chunk in a :class:`KVBatch` and routes
-    the records as arena slices - no per-record slicing at all.  The
-    output file is byte-identical in both modes.
+    the records as arena slices - no per-record slicing at all.
+    ``batch`` selects only that emit style of the map; the global sort
+    is the same in both modes, and so is the output file.
     """
     config = (config or MimirConfig()).with_layout(TS_LAYOUT)
     mimir = Mimir(env, config)
@@ -73,7 +74,7 @@ def terasort_mimir(env: RankEnv, input_path: str, output_path: str,
 
     kvs = mimir.map_binary_file(input_path, RECORD_SIZE, map_fn,
                                 layout=TS_LAYOUT)
-    ordered = mimir.global_sort(kvs, batch=batch)
+    ordered = mimir.global_sort(kvs)
     nlocal = len(ordered)
     mimir.write_output_global(ordered, output_path,
                               render=lambda k, v: k + v)

@@ -11,9 +11,9 @@ allocates no per-record objects until the caller explicitly asks for
 ``bytes``.
 
 Kernels opt into whole-batch processing with the
-:func:`batch_kernel` decorator; drivers check :func:`is_batch_kernel`
-and fall back to the per-record path for plain callables, so user
-code never has to change.
+:func:`batch_kernel` decorator.  The drivers only ever call batch
+kernels: :class:`Dispatch` is the one adapter that runs a plain
+per-record callback as one, so user code never has to change.
 """
 
 from __future__ import annotations
@@ -45,6 +45,72 @@ def batch_kernel(fn):
 
 def is_batch_kernel(fn) -> bool:
     return bool(getattr(fn, "is_batch_kernel", False))
+
+
+def each_pair(fn):
+    """``fn(ctx, key, value)`` (a map) run over every record of a
+    :class:`KVBatch`."""
+
+    def kernel(ctx, batch) -> None:
+        for key, value in batch.pairs_bytes():
+            fn(ctx, key, value)
+    return kernel
+
+
+def each_group(fn):
+    """``fn(ctx, key, values)`` (a reduce) run over every group of a
+    page of ``(key, values)`` groups."""
+
+    def kernel(ctx, groups) -> None:
+        for key, values in groups:
+            fn(ctx, key, values)
+    return kernel
+
+
+def each_fold(fn):
+    """``fn(key, a, b)`` (a partial-reduce fold) folding every record
+    of a :class:`KVBatch` into a bucket, in record order."""
+
+    def kernel(bucket, batch) -> None:
+        get, put = bucket.get, bucket.set
+        for key, value in batch.pairs_bytes():
+            old = get(key)
+            put(key, value if old is None else fn(key, old, value))
+    return kernel
+
+
+class Dispatch:
+    """A user callback as the drivers call it: one batch at a time.
+
+    A kernel marked with :func:`batch_kernel` is called once per batch;
+    a plain callback is run by ``per_record(fn)`` (:func:`each_pair`,
+    :func:`each_group` or :func:`each_fold`), which calls it once per
+    record or group.  ``calls`` counts the framework ops: one per
+    record or group handed to a plain callback (a fold inserts the
+    first record of a key without calling ``fn``, yet that is still one
+    dispatch), one per batch for a marked kernel.
+    ``batch_records``/``batch_pages`` count what went through a marked
+    kernel (the ``core.batch.*`` metrics).
+    """
+
+    __slots__ = ("_run", "_batched", "calls", "batch_records",
+                 "batch_pages")
+
+    def __init__(self, fn, per_record):
+        self._batched = is_batch_kernel(fn)
+        self._run = fn if self._batched else per_record(fn)
+        self.calls = 0
+        self.batch_records = 0
+        self.batch_pages = 0
+
+    def __call__(self, ctx, batch) -> None:
+        self._run(ctx, batch)
+        if self._batched:
+            self.calls += 1
+            self.batch_records += len(batch)
+            self.batch_pages += 1
+        else:
+            self.calls += len(batch)
 
 
 class KVBatch:
@@ -101,18 +167,6 @@ class KVBatch:
         for start, stop in zip(self.koff, self.kend):
             yield arena[start:stop]
 
-    def values(self) -> Iterator[memoryview]:
-        arena = self.arena
-        for start, stop in zip(self.voff, self.vend):
-            yield arena[start:stop]
-
-    def pairs(self) -> Iterator[tuple[memoryview, memoryview]]:
-        """``(key, value)`` as arena slices, in record order."""
-        arena = self.arena
-        for ks, ke, vs, ve in zip(self.koff, self.kend,
-                                  self.voff, self.vend):
-            yield arena[ks:ke], arena[vs:ve]
-
     def record(self, i: int) -> memoryview:
         """The complete encoded record ``i`` (headers included)."""
         return self.arena[self.roff[i] : self.roff[i + 1]]
@@ -130,6 +184,11 @@ class KVBatch:
         built without a Python frame per key."""
         return take_bytes(np.frombuffer(self.arena, np.uint8),
                           *self.key_spans())
+
+    def values_bytes(self) -> list[bytes]:
+        """Values as ``bytes``, in record order (see :meth:`keys_bytes`)."""
+        return take_bytes(np.frombuffer(self.arena, np.uint8),
+                          *self.value_spans())
 
     def pairs_bytes(self) -> Iterator[tuple[bytes, bytes]]:
         """``(key, value)`` as ``bytes``: the compatibility iterator.

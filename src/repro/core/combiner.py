@@ -15,7 +15,7 @@ high enough.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, repeat
 from typing import Callable
 
 from repro.cluster import RankEnv
@@ -57,58 +57,50 @@ class Combiner:
 
     def emit(self, key: bytes, value: bytes) -> None:
         """Insert one KV, merging with any bucketed duplicate."""
-        self.records_in += 1
-        self._ops += 1
-        self._merge(key, value)
-        if self.bucket_budget is not None and \
-                self.bucket.accounted_bytes > self.bucket_budget:
-            self._partial_flush()
-
-    def _merge(self, key: bytes, value: bytes) -> None:
-        existing = self.bucket.get(key)
-        if existing is None:
-            self.bucket.set(key, value)
-        else:
-            merged = self.combine_fn(key, existing, value)
-            self.bucket.set(key, merged)
-            self.records_merged += 1
+        self._merge(((key, value),))
 
     # -------------------------------------------------------- batch emits
 
     def emit_run(self, keys, value: bytes) -> int:
         """Merge ``(key, value)`` for every key in one dispatch; returns
         the number of records taken."""
-        count = 0
-        for key in keys:
-            self._merge(key, value)
-            count += 1
-        return self._note_batch(count)
+        return self._note_batch(self._merge(zip(keys, repeat(value))))
 
     def emit_pairs(self, pairs) -> int:
         """Merge ``(key, value)`` pairs in one dispatch; returns the
         number of records taken."""
-        count = 0
-        for key, value in pairs:
-            self._merge(key, value)
-            count += 1
-        return self._note_batch(count)
+        return self._note_batch(self._merge(pairs))
 
     def emit_batch(self, batch) -> None:
         """Merge every record of a :class:`~repro.core.batch.KVBatch`."""
-        count = 0
-        for key, value in batch.pairs_bytes():
-            self._merge(key, value)
-            count += 1
-        self._note_batch(count)
+        self._note_batch(self._merge(batch.pairs_bytes()))
 
-    def _note_batch(self, count: int) -> int:
+    def _merge(self, pairs) -> int:
+        """Merge the pairs into the bucket in one dispatch (one op),
+        folding duplicates with ``combine_fn``; flushes the bucket if it
+        has outgrown its budget.  Returns the number of pairs."""
+        get, put = self.bucket.get, self.bucket.set
+        combine = self.combine_fn
+        count = merged = 0
+        for key, value in pairs:
+            existing = get(key)
+            if existing is None:
+                put(key, value)
+            else:
+                put(key, combine(key, existing, value))
+                merged += 1
+            count += 1
         self.records_in += count
+        self.records_merged += merged
         self._ops += 1
-        self.batch_records += count
-        self.batch_calls += 1
         if self.bucket_budget is not None and \
                 self.bucket.accounted_bytes > self.bucket_budget:
             self._partial_flush()
+        return count
+
+    def _note_batch(self, count: int) -> int:
+        self.batch_records += count
+        self.batch_calls += 1
         return count
 
     def _partial_flush(self) -> None:
@@ -123,35 +115,22 @@ class Combiner:
     def _drain_to_shuffler(self) -> int:
         """Drain the bucket; returns the merged payload bytes moved.
 
-        In batch mode the survivors flow out through one
-        ``emit_pairs`` dispatch; the records, bytes, exchange trigger
-        points and bucket releases are those of the per-record drain.
+        The survivors flow out through one ``emit_pairs`` dispatch.
+        Each entry is released where a lazy entry-by-entry drain would
+        have released it (just before each mid-run exchange), so the
+        tracker timeline is that of a record-at-a-time drain.
         """
-        if self.batch_calls:
-            pairs = list(self.bucket.items())
-            released = 0
+        pairs = list(self.bucket.items())
+        released = 0
 
-            def release(upto: int) -> None:
-                nonlocal released
-                self.bucket.release(pairs[released:upto])
-                released = upto
+        def release(upto: int) -> None:
+            nonlocal released
+            self.bucket.release(pairs[released:upto])
+            released = upto
 
-            self.shuffler.emit_pairs(pairs, taken=release)
-            release(len(pairs))
-            return sum(map(len, chain.from_iterable(pairs)))
-        merged_bytes = 0
-        for key, value in self.bucket.drain():
-            self.shuffler.emit(key, value)
-            merged_bytes += len(key) + len(value)
-        return merged_bytes
-
-    @property
-    def compression_ratio(self) -> float:
-        """Input records per unique record (>= 1)."""
-        unique = len(self.bucket) + self.records_merged * 0  # current uniques
-        if unique == 0:
-            return 1.0
-        return self.records_in / max(len(self.bucket), 1)
+        self.shuffler.emit_pairs(pairs, taken=release)
+        release(len(pairs))
+        return sum(map(len, chain.from_iterable(pairs)))
 
     def finish(self) -> None:
         """Drain the bucket into the shuffler and run the aggregate."""

@@ -23,11 +23,13 @@ from repro.cluster import RankEnv
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints
     from repro.core.metrics import PhaseProfile
-from repro.core.batch import is_batch_kernel
+from repro.core.batch import Dispatch, each_group, each_pair
 from repro.core.codec import get_codec
 from repro.core.combiner import CombineFn, Combiner
 from repro.core.config import MimirConfig
-from repro.core.convert import iter_grouped, iter_grouped_batches
+# ``iter_grouped`` is not called here; it stays importable from this
+# module because the perfbench layer tracer patches it by this name.
+from repro.core.convert import iter_grouped, iter_grouped_batches  # noqa: F401
 from repro.core.kvcontainer import KVContainer
 from repro.core.partial_reduction import PartialReduceFn, partial_reduce
 from repro.core.records import KVLayout
@@ -111,12 +113,14 @@ class Mimir:
 
     # ----------------------------------------------------------- plumbing
 
-    def _run_map(self, feed: Callable[[MapContext], None], *,
+    def _run_map(self, source: Callable[[], Iterable[Any]],
+                 map_fn: Callable[[MapContext, Any], None], *,
                  combine_fn: CombineFn | None,
                  partitioner: Callable[[bytes, int], int] | None,
                  layout: KVLayout | None,
                  out_tag: str) -> KVContainer:
-        """Shared skeleton: feed records through (combiner ->) shuffler."""
+        """Shared skeleton: call ``map_fn`` on every item of ``source()``
+        and route what it emits through (combiner ->) shuffler."""
         stream_layout = layout or self.config.layout
         out = KVContainer(
             self.env.tracker, stream_layout,
@@ -133,14 +137,12 @@ class Mimir:
         with span:
             shuffler = Shuffler(self.env, self.config, out, partitioner,
                                 trace=self.trace)
-            if combine_fn is not None:
-                sink = Combiner(self.env, self.config, combine_fn, shuffler)
-                feed(MapContext(sink))
-                sink.finish()
-            else:
-                sink = shuffler
-                feed(MapContext(sink))
-                shuffler.finish()
+            sink = shuffler if combine_fn is None else \
+                Combiner(self.env, self.config, combine_fn, shuffler)
+            ctx = MapContext(sink)
+            for item in source():
+                map_fn(ctx, item)
+            sink.finish()
             self.env.charge_compute(shuffler.bytes_sent)
             # Framework dispatch overhead: one op per emit call (a batch
             # emit is one op however many records it carried).
@@ -206,15 +208,11 @@ class Mimir:
         ``map_fn`` is called once per chunk (roughly
         ``config.input_chunk_size`` bytes, never splitting a word).
         """
-
-        def feed(ctx: MapContext) -> None:
-            for chunk in iter_text_chunks(self.env, path,
-                                          self.config.input_chunk_size):
-                map_fn(ctx, chunk)
-
-        return self._run_map(feed, combine_fn=combine_fn,
-                             partitioner=partitioner, layout=layout,
-                             out_tag=out_tag)
+        return self._run_map(
+            lambda: iter_text_chunks(self.env, path,
+                                     self.config.input_chunk_size),
+            map_fn, combine_fn=combine_fn, partitioner=partitioner,
+            layout=layout, out_tag=out_tag)
 
     def map_binary_file(self, path: str, record_size: int,
                         map_fn: Callable[[MapContext, bytes], None], *,
@@ -227,15 +225,11 @@ class Mimir:
         ``map_fn`` receives chunks whose length is a multiple of
         ``record_size``.
         """
-
-        def feed(ctx: MapContext) -> None:
-            for chunk in iter_binary_chunks(self.env, path, record_size,
-                                            self.config.input_chunk_size):
-                map_fn(ctx, chunk)
-
-        return self._run_map(feed, combine_fn=combine_fn,
-                             partitioner=partitioner, layout=layout,
-                             out_tag=out_tag)
+        return self._run_map(
+            lambda: iter_binary_chunks(self.env, path, record_size,
+                                       self.config.input_chunk_size),
+            map_fn, combine_fn=combine_fn, partitioner=partitioner,
+            layout=layout, out_tag=out_tag)
 
     def map_text_files(self, paths: "str | list[str]",
                        map_fn: Callable[[MapContext, bytes], None], *,
@@ -248,15 +242,11 @@ class Mimir:
         Whole files are assigned round-robin to ranks; a trailing ``/``
         expands to every file under that prefix.
         """
-
-        def feed(ctx: MapContext) -> None:
-            for chunk in iter_text_chunks_multi(
-                    self.env, paths, self.config.input_chunk_size):
-                map_fn(ctx, chunk)
-
-        return self._run_map(feed, combine_fn=combine_fn,
-                             partitioner=partitioner, layout=layout,
-                             out_tag=out_tag)
+        return self._run_map(
+            lambda: iter_text_chunks_multi(self.env, paths,
+                                           self.config.input_chunk_size),
+            map_fn, combine_fn=combine_fn, partitioner=partitioner,
+            layout=layout, out_tag=out_tag)
 
     def map_binary_files(self, paths: "str | list[str]", record_size: int,
                          map_fn: Callable[[MapContext, bytes], None], *,
@@ -265,16 +255,11 @@ class Mimir:
                          layout: KVLayout | None = None,
                          out_tag: str = "kv_shuffled") -> KVContainer:
         """Map over a multi-file binary input (directory prefix or list)."""
-
-        def feed(ctx: MapContext) -> None:
-            for chunk in iter_binary_chunks_multi(
-                    self.env, paths, record_size,
-                    self.config.input_chunk_size):
-                map_fn(ctx, chunk)
-
-        return self._run_map(feed, combine_fn=combine_fn,
-                             partitioner=partitioner, layout=layout,
-                             out_tag=out_tag)
+        return self._run_map(
+            lambda: iter_binary_chunks_multi(self.env, paths, record_size,
+                                             self.config.input_chunk_size),
+            map_fn, combine_fn=combine_fn, partitioner=partitioner,
+            layout=layout, out_tag=out_tag)
 
     def map_items(self, items: Iterable[Any],
                   map_fn: Callable[[MapContext, Any], None], *,
@@ -283,12 +268,7 @@ class Mimir:
                   layout: KVLayout | None = None,
                   out_tag: str = "kv_shuffled") -> KVContainer:
         """Map over an in-memory iterable (in-situ data source)."""
-
-        def feed(ctx: MapContext) -> None:
-            for item in items:
-                map_fn(ctx, item)
-
-        return self._run_map(feed, combine_fn=combine_fn,
+        return self._run_map(lambda: items, map_fn, combine_fn=combine_fn,
                              partitioner=partitioner, layout=layout,
                              out_tag=out_tag)
 
@@ -310,21 +290,10 @@ class Mimir:
         container page as ``map_fn(ctx, batch)`` with a
         :class:`~repro.core.batch.KVBatch` instead of once per record.
         """
-
-        if is_batch_kernel(map_fn):
-            def feed(ctx: MapContext) -> None:
-                source = kvc.consume_batches() if consume else kvc.batches()
-                for batch in source:
-                    map_fn(ctx, batch)
-        else:
-            def feed(ctx: MapContext) -> None:
-                source = kvc.consume() if consume else kvc.records()
-                for key, value in source:
-                    map_fn(ctx, key, value)
-
-        return self._run_map(feed, combine_fn=combine_fn,
-                             partitioner=partitioner, layout=layout,
-                             out_tag=out_tag)
+        return self._run_map(
+            kvc.consume_batches if consume else kvc.batches,
+            Dispatch(map_fn, each_pair), combine_fn=combine_fn,
+            partitioner=partitioner, layout=layout, out_tag=out_tag)
 
     # ------------------------------------------------------------- reduce
 
@@ -359,38 +328,27 @@ class Mimir:
                 spill_env=self.env if self.config.out_of_core else None,
                 spill_store=self._spill_store)
             ctx = ReduceContext(out)
+            kernel = Dispatch(reduce_fn, each_group)
             reduced_bytes = 0
             reduced_keys = 0
-            ops = 0
-            batch_pages = 0
-            if is_batch_kernel(reduce_fn):
-                for groups in iter_grouped_batches(self.env, source,
-                                                   self.config):
-                    reduce_fn(ctx, groups)
-                    ops += 1
-                    batch_pages += 1
-                    reduced_keys += len(groups)
-                    reduced_bytes += sum(
-                        len(key) + sum(map(len, values))
-                        for key, values in groups)
-            else:
-                for key, values in iter_grouped(self.env, source,
-                                                self.config):
-                    reduce_fn(ctx, key, values)
-                    ops += 1
-                    reduced_keys += 1
-                    reduced_bytes += len(key) + sum(map(len, values))
+            for groups in iter_grouped_batches(self.env, source,
+                                               self.config):
+                kernel(ctx, groups)
+                reduced_keys += len(groups)
+                reduced_bytes += sum(len(key) + sum(map(len, values))
+                                     for key, values in groups)
             self.env.charge_compute(reduced_bytes)
-            self.env.charge_ops(ops)
+            self.env.charge_ops(kernel.calls)
         metrics = self.env.metrics
         metrics.inc("core.reduce.keys", reduced_keys)
         metrics.inc("core.reduce.bytes", reduced_bytes)
-        if batch_pages:
-            metrics.inc("core.batch.records", reduced_keys)
-            metrics.inc("core.batch.pages", batch_pages)
-        if self.profile is not None and batch_pages:
-            self.profile.annotate_last(batch_records=reduced_keys,
-                                       batch_pages=batch_pages)
+        if kernel.batch_pages:
+            metrics.inc("core.batch.records", kernel.batch_records)
+            metrics.inc("core.batch.pages", kernel.batch_pages)
+            if self.profile is not None:
+                self.profile.annotate_last(
+                    batch_records=kernel.batch_records,
+                    batch_pages=kernel.batch_pages)
         if out.spilled_bytes:
             metrics.inc("core.spill.bytes", out.spilled_bytes)
         metrics.observe("core.phase.seconds",
@@ -479,19 +437,16 @@ class Mimir:
         return out
 
     def global_sort(self, kvc: KVContainer, *, by_value: bool = False,
-                    batch: bool = False,
                     out_tag: str = "kv_gsorted") -> KVContainer:
         """Total order across ranks via sample sort (consumes input).
 
         After this call, every record on rank ``r`` sorts at or before
         every record on rank ``r+1``, and each rank is locally sorted.
-        ``batch=True`` routes records through the columnar batch path
-        (identical splitters, identical output).
         """
         from repro.core.sort import global_sort
 
         return global_sort(self.env, kvc, self.config, by_value=by_value,
-                           batch=batch, out_tag=out_tag)
+                           out_tag=out_tag)
 
     def gather(self, kvc: KVContainer, nranks: int = 1,
                out_tag: str = "kv_gathered") -> KVContainer:

@@ -12,9 +12,11 @@ instead of the full grouped dataset.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Callable
 
 from repro.cluster import RankEnv
+from repro.core.batch import Dispatch, each_fold
 from repro.core.bucket import AccountedBucket
 from repro.core.config import MimirConfig
 from repro.core.kvcontainer import KVContainer
@@ -39,57 +41,31 @@ def partial_reduce(env: RankEnv, kvc: KVContainer, pr_fn,
     so the same output), but the batch form costs one framework
     dispatch per page instead of one per record.
 
-    ``seed`` pre-loads the bucket from an existing aggregate *before*
-    any new record folds in, so an incremental window fold (seed = the
-    running aggregate, ``kvc`` = the new micro-batch) folds in the same
-    old-then-new order as one uninterrupted pass over all records.
+    ``seed`` pre-loads the bucket from an existing aggregate: its
+    records fold in *before* any of ``kvc``'s, so an incremental window
+    fold (seed = the running aggregate, ``kvc`` = the new micro-batch)
+    folds in the same old-then-new order as one uninterrupted pass over
+    all records.
     """
-    from repro.core.batch import is_batch_kernel
-
     bucket = AccountedBucket(env.tracker, config.bucket_entry_overhead,
                              tag="pr_bucket")
-    scanned = 0
-    ops = 0
-    batch_records = 0
-    batch_pages = 0
+    fold = Dispatch(pr_fn, each_fold)
+    sources = [kvc.consume_batches()]
     if seed is not None:
-        records = seed.consume() if seed_consume else seed.records()
-        for key, value in records:
-            scanned += len(key) + len(value)
-            existing = bucket.get(key)
-            if existing is None:
-                bucket.set(key, value)
-            elif is_batch_kernel(pr_fn):
-                raise ValueError(
-                    "seed container has duplicate keys; batch-kernel "
-                    "folds need a unique-key (already reduced) seed")
-            else:
-                bucket.set(key, pr_fn(key, existing, value))
-            ops += 1
-    if is_batch_kernel(pr_fn):
-        for batch in kvc.consume_batches():
-            scanned += batch.payload_bytes
-            pr_fn(bucket, batch)
-            ops += 1
-            batch_records += len(batch)
-            batch_pages += 1
-    else:
-        for key, value in kvc.consume():
-            scanned += len(key) + len(value)
-            existing = bucket.get(key)
-            if existing is None:
-                bucket.set(key, value)
-            else:
-                bucket.set(key, pr_fn(key, existing, value))
-            ops += 1
+        sources.insert(0, seed.consume_batches() if seed_consume
+                       else seed.batches())
+    scanned = 0
+    for batch in chain.from_iterable(sources):
+        scanned += batch.payload_bytes
+        fold(bucket, batch)
 
     out = KVContainer(env.tracker, out_layout or kvc.layout,
                       config.page_size, tag=out_tag)
     for key, value in bucket.drain():
         out.add(key, value)
     env.charge_compute(scanned + out.nbytes)
-    env.charge_ops(ops)
+    env.charge_ops(fold.calls)
     if stats is not None:
-        stats.update(ops=ops, batch_records=batch_records,
-                     batch_pages=batch_pages)
+        stats.update(ops=fold.calls, batch_records=fold.batch_records,
+                     batch_pages=fold.batch_pages)
     return out

@@ -131,25 +131,6 @@ class Shuffler:
         self.bytes_sent += n
         self.ops += 1
 
-    def emit_record(self, record: bytes | memoryview, dest: int) -> None:
-        """Insert a pre-encoded record bound for rank ``dest``."""
-        self._put_record(record, dest)
-        self.ops += 1
-
-    def _put_record(self, record: bytes | memoryview, dest: int) -> None:
-        n = len(record)
-        if n > self.part_size:
-            raise RecordTooLargeError(n, self.part_size,
-                                      "send-buffer partition")
-        if self._fill[dest] + n > self.part_size:
-            # Partition full: suspend map, run one aggregate round.
-            self.exchange(done=False)
-        base = dest * self.part_size + self._fill[dest]
-        self._send[base : base + n] = record
-        self._fill[dest] += n
-        self.records_sent += 1
-        self.bytes_sent += n
-
     # -------------------------------------------------------- batch emits
     #
     # One framework dispatch (one ``ops``) per *call* instead of per
@@ -334,35 +315,37 @@ class Shuffler:
             columns.append(repeat(b"\0", nrec))
         return b"".join(chain.from_iterable(zip(*columns)))
 
-    def emit_batch(self, batch: KVBatch) -> None:
-        """Route every record of a :class:`KVBatch` by its key hash.
+    def emit_batch(self, batch: KVBatch, dests=None) -> None:
+        """Route every record of a :class:`KVBatch` in one dispatch.
 
         Records are copied as arena slices straight into their
-        partitions - no per-record encode, no per-record bytes objects
-        (the default crc32 partitioner hashes the key slice in place).
+        partitions - no per-record encode, no per-record bytes objects.
+        ``dests(batch)``, if given, yields each record's destination
+        rank in record order; by default the partitioner places each
+        key slice (the default crc32 partitioner hashes it in place).
         """
-        partitioner = self.partitioner
-        nprocs = self.nprocs
+        if dests is None:
+            ranks = map(self.partitioner, batch.keys(), repeat(self.nprocs))
+        else:
+            ranks = dests(batch)
         arena = batch.arena
         roff = batch.roff
-        for i, (ks, ke) in enumerate(zip(batch.koff, batch.kend)):
-            dest = partitioner(arena[ks:ke], nprocs)
-            self._put_record(arena[roff[i] : roff[i + 1]], dest)
-        self.ops += 1
-        self.batch_records += len(batch)
-        self.batch_calls += 1
-
-    def emit_keyed_batch(self, batch: KVBatch, dest_for) -> None:
-        """Route every record of a batch via ``dest_for(key_bytes)``.
-
-        Used by the range partitioner of the global sort, whose
-        splitter comparison needs orderable ``bytes`` keys.
-        """
-        arena = batch.arena
-        roff = batch.roff
-        for i, (ks, ke) in enumerate(zip(batch.koff, batch.kend)):
-            dest = dest_for(bytes(arena[ks:ke]))
-            self._put_record(arena[roff[i] : roff[i + 1]], dest)
+        part_size = self.part_size
+        fill = self._fill
+        for i, dest in enumerate(ranks):
+            start, stop = roff[i], roff[i + 1]
+            n = stop - start
+            if n > part_size:
+                raise RecordTooLargeError(n, part_size,
+                                          "send-buffer partition")
+            if fill[dest] + n > part_size:
+                # Partition full: suspend map, run one aggregate round.
+                self.exchange(done=False)
+            base = dest * part_size + fill[dest]
+            self._send[base : base + n] = arena[start:stop]
+            fill[dest] += n
+            self.records_sent += 1
+            self.bytes_sent += n
         self.ops += 1
         self.batch_records += len(batch)
         self.batch_calls += 1

@@ -14,8 +14,11 @@ bisection per record), and each rank sorts what it received.
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import repeat
+from operator import itemgetter
 
 from repro.cluster import RankEnv
+from repro.core.batch import KVBatch
 from repro.core.config import MimirConfig
 from repro.core.kvcontainer import KVContainer
 from repro.core.shuffle import Shuffler
@@ -48,7 +51,6 @@ def range_partitioner(splitters: list[bytes]):
 def global_sort(env: RankEnv, kvc: KVContainer, config: MimirConfig, *,
                 by_value: bool = False,
                 oversample: int = DEFAULT_OVERSAMPLE,
-                batch: bool = False,
                 out_tag: str = "kv_gsorted") -> KVContainer:
     """Globally sort ``kvc`` (consumed) across all ranks.
 
@@ -56,67 +58,35 @@ def global_sort(env: RankEnv, kvc: KVContainer, config: MimirConfig, *,
     land on either side of a splitter boundary but the global order is
     still correct (splitters compare with ``<=``).
 
-    With ``batch=True`` records move through the columnar batch path:
-    records are copied as arena slices (one dispatch per page) instead
-    of being re-encoded one by one.  The sample keys - and therefore
-    the splitters - are computed from the same materialised key list
-    in both modes, so the output is byte-identical.
+    Records move a page at a time: sampling reads each page's sort
+    fields in one step, and routing copies records as arena slices
+    (one dispatch per page) instead of re-encoding them one by one.
     """
     comm = env.comm
-    field = (lambda k, v: v) if by_value else (lambda k, v: k)
-    if by_value:
-        batch = False  # value routing stays per-record
+    fields = KVBatch.values_bytes if by_value else KVBatch.keys_bytes
 
-    # Sample this rank's sort keys at regular strides.
-    if batch:
-        local = [k for b in kvc.batches() for k in b.keys_bytes()]
-    else:
-        local = [field(k, v) for k, v in kvc.records()]
+    # Sample this rank's sort fields at regular strides.
+    local = [f for batch in kvc.batches() for f in fields(batch)]
     want = max(1, comm.size * oversample)
     stride = max(1, len(local) // want)
     sample = sorted(local)[::stride][:want] if local else []
 
     pooled = [key for part in comm.allgather(sample) for key in part]
-    splitters = choose_splitters(pooled, comm.size)
+    partition = range_partitioner(choose_splitters(pooled, comm.size))
 
-    if by_value:
-        partition_value = range_partitioner(splitters)
-
-        def partitioner(key: bytes, nprocs: int) -> int:
-            # The shuffle hashes keys; for value sorting we wrap the
-            # record so the partitioner sees the value.
-            return partition_value(key, nprocs)
-    else:
-        partitioner = range_partitioner(splitters)
-
-    # Range-shuffle, then order locally.
+    # Range-shuffle by the sort field, then order locally.
     out = KVContainer(env.tracker, kvc.layout, config.page_size,
                       tag=out_tag)
-    shuffler = Shuffler(env, config, out,
-                        partitioner if not by_value else None)
-    if by_value:
-        # Route by value: emit with an explicit destination.
-        for key, value in kvc.consume():
-            record = kvc.layout.encode(key, value)
-            shuffler.emit_record(record,
-                                 partition_value(value, comm.size))
-    elif batch:
-        dest_for = lambda key: partitioner(key, comm.size)  # noqa: E731
-        for kvbatch in kvc.consume_batches():
-            shuffler.emit_keyed_batch(kvbatch, dest_for)
-    else:
-        for key, value in kvc.consume():
-            shuffler.emit(key, value)
+    shuffler = Shuffler(env, config, out)
+    ranks = lambda batch: map(partition, fields(batch),  # noqa: E731
+                              repeat(comm.size))
+    for batch in kvc.consume_batches():
+        shuffler.emit_batch(batch, ranks)
     shuffler.finish()
     env.charge_compute(shuffler.bytes_sent)
     env.charge_ops(shuffler.ops)
 
-    if batch:
-        received = (kv for b in out.consume_batches()
-                    for kv in b.pairs_bytes())
-    else:
-        received = out.consume()
-    records = sorted(received, key=lambda kv: field(*kv))
+    records = sorted(out.consume(), key=itemgetter(1 if by_value else 0))
     result = KVContainer(env.tracker, out.layout, config.page_size,
                          tag=out_tag)
     for key, value in records:

@@ -70,8 +70,8 @@ class Mailbox:
                         "world aborted while waiting for a message") from None
                 if time.monotonic() > deadline:
                     raise WorldAbortedError(
-                        f"recv(source={source}, tag={tag}) timed out "
-                        f"after {timeout}s") from None
+                        f"rank {dest}: recv(source={source}, tag={tag}) "
+                        f"timed out after {timeout}s") from None
 
 
 class CollectiveEngine:

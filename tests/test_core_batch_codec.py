@@ -406,3 +406,111 @@ class TestRecordOverhead:
     def test_rescale_preserves_record_overhead(self):
         costed = replace(COMET, record_overhead=1e-4)
         assert costed.rescaled(3).record_overhead == 1e-4
+
+
+def _map_kernels(calls):
+    def plain(ctx, key, value):
+        calls.append(key)
+        ctx.emit(key, value)
+
+    @batch_kernel
+    def batch(ctx, kvbatch):
+        calls.append(len(kvbatch))
+        ctx.emit_batch(kvbatch)
+
+    return plain, batch
+
+
+def _reduce_kernels(calls):
+    def plain(ctx, key, values):
+        calls.append(key)
+        ctx.emit(key, values[-1])
+
+    @batch_kernel
+    def batch(ctx, groups):
+        calls.append(len(groups))
+        for key, values in groups:
+            ctx.emit(key, values[-1])
+
+    return plain, batch
+
+
+def _fold_kernels(calls):
+    def plain(key, a, b):
+        calls.append(key)
+        return b
+
+    @batch_kernel
+    def batch(bucket, kvbatch):
+        calls.append(len(kvbatch))
+        for key, value in kvbatch.pairs_bytes():
+            bucket.set(key, value)
+
+    return plain, batch
+
+
+class TestDispatchOps:
+    """The ops contract under ``record_overhead > 0``: a plain callback
+    costs one op per record (or group) dispatched to it, a batch kernel
+    one op per page, and only batch kernels count ``core.batch.*``."""
+
+    OVERHEAD = 1e-3
+    NRECORDS, NKEYS = 40, 8
+
+    def run(self, driver, kernels, which, overhead):
+        calls = []
+        fn = kernels(calls)[which == "batch"]
+        cluster = Cluster(replace(COMET, record_overhead=overhead),
+                          nprocs=1, memory_limit=None)
+        config = MimirConfig(page_size=64, comm_buffer_size=256)
+
+        def job(env):
+            kvc = KVContainer(env.tracker, config.layout, config.page_size)
+            for i in range(self.NRECORDS):
+                kvc.add(b"k%d" % (i % self.NKEYS), pack_u64(i))
+            npages = kvc.npages
+            start = env.comm.clock.time
+            out = getattr(Mimir(env, config), driver)(kvc, fn)
+            return env.comm.clock.time - start, npages, len(out)
+
+        (elapsed, npages, nout), = cluster.run(job).returns
+        return elapsed, npages, nout, calls, cluster.metrics.totals()
+
+    def ops(self, driver, kernels, which):
+        """``(ops charged, pages, calls, output records, metrics)``."""
+        free, *_ = self.run(driver, kernels, which, 0.0)
+        costed, npages, nout, calls, totals = self.run(
+            driver, kernels, which, self.OVERHEAD)
+        return (round((costed - free) / self.OVERHEAD), npages, calls,
+                nout, totals)
+
+    @pytest.mark.parametrize("driver,kernels", [
+        ("map_kvs", _map_kernels), ("reduce", _reduce_kernels),
+        ("partial_reduce", _fold_kernels)])
+    def test_plain_callback_costs_one_op_per_dispatch(self, driver,
+                                                      kernels):
+        ops, _, calls, nout, totals = self.ops(driver, kernels, "plain")
+        expected = {"map_kvs": self.NRECORDS, "reduce": self.NKEYS,
+                    # The first record of each key is inserted without
+                    # a fold call, but it is still one dispatch.
+                    "partial_reduce": self.NRECORDS}[driver]
+        assert ops == expected
+        assert len(calls) == (expected if driver != "partial_reduce"
+                              else self.NRECORDS - self.NKEYS)
+        assert nout == (self.NRECORDS if driver == "map_kvs"
+                        else self.NKEYS)
+        assert not any(name.startswith("core.batch.") for name in totals)
+
+    @pytest.mark.parametrize("driver,kernels", [
+        ("map_kvs", _map_kernels), ("reduce", _reduce_kernels),
+        ("partial_reduce", _fold_kernels)])
+    def test_batch_kernel_costs_one_op_per_page(self, driver, kernels):
+        ops, npages, calls, nout, totals = self.ops(driver, kernels,
+                                                    "batch")
+        assert ops == len(calls) > 1
+        if driver != "reduce":   # KV pages; reduce runs per KMV page
+            assert len(calls) == npages
+        assert totals["core.batch.pages"] == len(calls)
+        assert totals["core.batch.records"] == sum(calls)
+        assert nout == (self.NRECORDS if driver == "map_kvs"
+                        else self.NKEYS)

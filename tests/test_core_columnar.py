@@ -453,33 +453,43 @@ def test_stray_partition_fails_after_the_prefix():
     assert bulk.partitions() == ref.partitions()
 
 
+def ref_drain(combiner: Combiner) -> int:
+    """The record-at-a-time combiner drain: one bucket entry released
+    and one emit per survivor; returns the payload bytes moved."""
+    moved = 0
+    for key, value in combiner.bucket.drain():
+        combiner.shuffler.emit(key, value)
+        moved += len(key) + len(value)
+    return moved
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.binary(min_size=1, max_size=6), max_size=60),
-       st.sampled_from([48, 96]))
-def test_combiner_batch_drain_keeps_the_per_record_timeline(keys, comm):
-    """The batch drain hands the bucket over in one emit_pairs, yet
-    releases each entry where the lazy per-entry drain did."""
+       st.sampled_from([48, 96]), st.booleans())
+def test_combiner_batch_drain_keeps_the_per_record_timeline(keys, comm,
+                                                           per_record):
+    """The drain hands the bucket over in one emit_pairs, yet moves the
+    same bytes through the same exchange rounds and releases each entry
+    where the lazy per-entry drain did."""
 
-    def run(batch: bool):
+    def run(drain):
         env = FakeEnv(2)
         config = MimirConfig(comm_buffer_size=comm)
         shuffler = RecordingShuffler(env, config, KVLayout())
         combiner = Combiner(env, config,
                             lambda k, a, b: bytes([(a[0] + b[0]) % 256]),
                             shuffler)
-        if batch:
-            combiner.emit_run(keys, b"1")
-        else:
+        if per_record:
             for key in keys:
                 combiner.emit(key, b"1")
-        combiner._drain_to_shuffler()
-        return shuffler.rounds_seen, shuffler.partitions(), \
-            timeline(env.tracker)
+        else:
+            combiner.emit_run(keys, b"1")
+        moved = drain(combiner)
+        return (moved, shuffler.rounds_seen, shuffler.partitions(),
+                shuffler.records_sent, shuffler.bytes_sent,
+                timeline(env.tracker), len(combiner.bucket))
 
-    batch_rounds, batch_parts, batch_tl = run(True)
-    rounds, parts, tl = run(False)
-    assert (batch_rounds, batch_parts) == (rounds, parts)
-    assert batch_tl == tl
+    assert run(Combiner._drain_to_shuffler) == run(ref_drain)
 
 
 def test_bucket_release_matches_drain():

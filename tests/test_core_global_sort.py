@@ -1,14 +1,33 @@
 """Global sample sort: total order, coverage, splitter logic."""
 
 from collections import Counter
+from operator import itemgetter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import Cluster
-from repro.core import Mimir, MimirConfig, pack_u64, unpack_u64
-from repro.core.sort import choose_splitters, range_partitioner
+from repro.core import (
+    CSTRING,
+    VARIABLE,
+    KVContainer,
+    KVLayout,
+    Mimir,
+    MimirConfig,
+    pack_u64,
+    unpack_u64,
+)
+from repro.core import sort as sort_module
+from repro.core.errors import RecordTooLargeError
+from repro.core.shuffle import Shuffler
+from repro.core.sort import (
+    DEFAULT_OVERSAMPLE,
+    choose_splitters,
+    global_sort,
+    range_partitioner,
+)
 from repro.mpi import COMET
 
 CFG = MimirConfig(page_size=2048, comm_buffer_size=2048,
@@ -131,3 +150,123 @@ def test_property_global_sort_is_sorted_permutation(keys, nprocs):
     per_rank = run_global_sort(items, nprocs=nprocs)
     all_keys = [k for records in per_rank for k, _ in records]
     assert all_keys == sorted(keys)
+
+
+# ------------------------------------------- record-at-a-time oracle
+
+class RoundLog(Shuffler):
+    """A shuffler that logs every exchange round's partitions."""
+
+    made: dict[int, "RoundLog"] = {}
+
+    def __init__(self, env, *args, **kwargs):
+        super().__init__(env, *args, **kwargs)
+        self.rounds_seen: list[list[bytes]] = []
+        RoundLog.made[env.comm.rank] = self
+
+    def exchange(self, done: bool) -> bool:
+        self.rounds_seen.append(
+            [bytes(self._send[d * self.part_size :
+                              d * self.part_size + self._fill[d]])
+             for d in range(self.nprocs)])
+        return super().exchange(done)
+
+
+def ref_route(shuffler: Shuffler, record: bytes, dest: int) -> None:
+    """Place one encoded record, exchanging first if it does not fit."""
+    n = len(record)
+    if n > shuffler.part_size:
+        raise RecordTooLargeError(n, shuffler.part_size,
+                                  "send-buffer partition")
+    if shuffler._fill[dest] + n > shuffler.part_size:
+        shuffler.exchange(done=False)
+    base = dest * shuffler.part_size + shuffler._fill[dest]
+    shuffler._send[base : base + n] = record
+    shuffler._fill[dest] += n
+    shuffler.records_sent += 1
+    shuffler.bytes_sent += n
+
+
+def ref_global_sort(env, kvc, config, *, by_value=False):
+    """The record-at-a-time sample sort: one record per step through
+    sampling, routing (one dispatch per record) and receive."""
+    comm = env.comm
+    field = itemgetter(1 if by_value else 0)
+    local = [field(kv) for kv in kvc.records()]
+    want = max(1, comm.size * DEFAULT_OVERSAMPLE)
+    stride = max(1, len(local) // want)
+    sample = sorted(local)[::stride][:want] if local else []
+    pooled = [key for part in comm.allgather(sample) for key in part]
+    partition = range_partitioner(choose_splitters(pooled, comm.size))
+    out = KVContainer(env.tracker, kvc.layout, config.page_size,
+                      tag="kv_gsorted")
+    shuffler = RoundLog(env, config, out)
+    for key, value in kvc.consume():
+        ref_route(shuffler, kvc.layout.encode(key, value),
+                  partition(field((key, value)), comm.size))
+    shuffler.finish()
+    env.charge_compute(shuffler.bytes_sent)
+    env.charge_ops(shuffler.records_sent)
+    records = sorted(out.consume(), key=field)
+    result = KVContainer(env.tracker, out.layout, config.page_size,
+                         tag="kv_gsorted")
+    for key, value in records:
+        result.add(key, value)
+    env.charge_compute(result.nbytes)
+    return result
+
+
+def _field(draw, hint):
+    if hint is VARIABLE:
+        return draw(st.binary(max_size=6))
+    if hint == CSTRING:
+        return draw(st.binary(max_size=6).map(
+            lambda b: b.replace(b"\0", b"\1")))
+    return draw(st.binary(min_size=hint, max_size=hint))
+
+
+@st.composite
+def sort_case(draw):
+    layout = draw(st.sampled_from([KVLayout(), KVLayout(CSTRING, VARIABLE),
+                                   KVLayout(2, 3)]))
+    nprocs = draw(st.integers(1, 4))
+    pool = [_field(draw, layout.key_len)
+            for _ in range(draw(st.integers(1, 10)))]
+    per_rank = [[(draw(st.sampled_from(pool)), _field(draw, layout.val_len))
+                 for _ in range(draw(st.integers(0, 30)))]
+                for _ in range(nprocs)]
+    return layout, per_rank, draw(st.sampled_from([24, 48, 96])), \
+        draw(st.booleans())
+
+
+def _run_sort(sort, layout, per_rank, part, by_value):
+    config = MimirConfig(page_size=64, comm_buffer_size=part * len(per_rank))
+    cluster = Cluster(COMET, nprocs=len(per_rank), memory_limit=None)
+
+    def job(env):
+        kvc = KVContainer(env.tracker, layout, config.page_size)
+        for key, value in per_rank[env.comm.rank]:
+            kvc.add(key, value)
+        out = sort(env, kvc, config, by_value=by_value)
+        log = RoundLog.made[env.comm.rank]
+        return (list(out.records()), log.rounds_seen, log.records_sent,
+                log.bytes_sent, env.comm.clock.time, env.tracker.peak)
+
+    RoundLog.made.clear()
+    with mock.patch.object(sort_module, "Shuffler", RoundLog):
+        return cluster.run(job).returns
+
+
+@settings(max_examples=40, deadline=None)
+@given(sort_case())
+def test_global_sort_matches_record_at_a_time_routing(case):
+    """Paged sampling, routing and receive give the partitions, the
+    exchange rounds, the output, the clock and the peak of the
+    record-at-a-time loop, for key sorts and value sorts alike."""
+    layout, per_rank, part, by_value = case
+    got = _run_sort(global_sort, layout, per_rank, part, by_value)
+    assert got == _run_sort(ref_global_sort, layout, per_rank, part,
+                            by_value)
+    field = itemgetter(1 if by_value else 0)
+    merged = [field(kv) for rank in got for kv in rank[0]]
+    assert merged == sorted(field(kv) for pairs in per_rank for kv in pairs)

@@ -116,3 +116,12 @@ class TestSendRecv:
         result = World(3).run(fn)
         assert result.returns[2] == 6
         assert result.returns[1] == 3
+
+    def test_recv_timeout_names_waiting_rank_source_and_tag(self):
+        from repro.mpi.engine import Mailbox
+
+        mailbox = Mailbox(lambda: False)
+        with pytest.raises(WorldAbortedError,
+                           match=r"^rank 3: recv\(source=1, tag=7\) "
+                                 r"timed out after 0\.1s$"):
+            mailbox.take(1, 3, 7, timeout=0.1)
